@@ -30,8 +30,7 @@ from repro.core.pipeline import compile_stencil, execute_compiled
 from repro.stencils.catalog import table2_benchmarks
 from repro.stencils.grid import make_grid
 
-#: Fast backend under comparison (always available; ``numba`` joins the
-#: sweep automatically when its import gate opens).
+#: Fast backend under comparison (always available).
 FAST_BACKEND = "numpy"
 
 #: The acceptance gate from the backend-registry issue: the fast backend

@@ -10,9 +10,10 @@ the shape real serving traffic has) under two arrival patterns:
   completion (arrival-rate-bound clients; queueing shows up as latency).
 
 The baseline is the pre-serving deployment: sequential, uncached
-``sparstencil_solve`` calls, one compile per request.  Coalescing + the
-shared compile cache turn ``requests`` compiles into ``distinct
-fingerprints`` compiles, which is where the throughput multiple comes from.
+single-device ``session.solve`` calls, one compile per request.
+Coalescing + the shared compile cache turn ``requests`` compiles into
+``distinct fingerprints`` compiles, which is where the throughput multiple
+comes from.
 
 Regenerate with::
 

@@ -4,8 +4,9 @@ Quantifies what the serving layer buys on top of the paper's pipeline:
 
 * cold vs. warm compile latency per Table-2 kernel (a warm hit skips
   morphing, conversion and the layout search entirely);
-* batched ``solve_many`` throughput over a mixed 8-request workload versus
-  sequential uncached ``sparstencil_solve`` calls.
+* batched ``StencilSession.solve_batch`` throughput over a mixed 8-request
+  workload versus sequential uncached single-device ``session.solve``
+  calls.
 
 Regenerate with::
 

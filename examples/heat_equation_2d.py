@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import StencilPattern, compile_stencil, make_grid, run_stencil
+from repro import StencilPattern, StencilSession, compile_stencil
 from repro.baselines import CudnnBaseline, NaiveCudaBaseline
 from repro.stencils.grid import Grid
 
@@ -43,7 +43,8 @@ def main() -> None:
     compiled = compile_stencil(heat, grid.shape, temporal_fusion=3)
     print("SparStencil plan:", compiled.plan.summary())
 
-    result = run_stencil(compiled, grid, iterations=ITERATIONS)
+    with StencilSession() as session:
+        result = session.run(compiled, grid, iterations=ITERATIONS).result
     final = result.output
 
     # --- physics sanity checks -------------------------------------------

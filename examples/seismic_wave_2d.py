@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import compile_stencil, run_stencil
+from repro import StencilSession, compile_stencil
 from repro.stencils.domains import acoustic_wave
 from repro.stencils.grid import Grid
 
@@ -56,16 +56,18 @@ def main() -> None:
     interior = (slice(radius, -radius), slice(radius, -radius))
 
     total_device_seconds = 0.0
-    for step in range(TIME_STEPS):
-        lap_run = run_stencil(compiled, Grid(data=u_curr, dtype=np.float16), 1)
-        # The acoustic kernel *is* the discrete Laplacian, so the stencil
-        # application gives L(u) directly on the interior region.
-        laplacian_term = lap_run.output[interior]
-        u_next = u_curr.copy()
-        u_next[interior] = (2.0 * u_curr[interior] - u_prev[interior]
-                            + COURANT_SQ * laplacian_term)
-        u_prev, u_curr = u_curr, u_next
-        total_device_seconds += lap_run.elapsed_seconds
+    with StencilSession() as session:
+        for step in range(TIME_STEPS):
+            lap_run = session.run(
+                compiled, Grid(data=u_curr, dtype=np.float16), 1).result
+            # The acoustic kernel *is* the discrete Laplacian, so the stencil
+            # application gives L(u) directly on the interior region.
+            laplacian_term = lap_run.output[interior]
+            u_next = u_curr.copy()
+            u_next[interior] = (2.0 * u_curr[interior] - u_prev[interior]
+                                + COURANT_SQ * laplacian_term)
+            u_prev, u_curr = u_curr, u_next
+            total_device_seconds += lap_run.elapsed_seconds
 
     # The wavefront must expand outward: energy appears away from the centre.
     centre = GRID_SIZE // 2

@@ -76,8 +76,7 @@ def main() -> None:
     # 5. The unified metrics snapshot: server, cache and device-pool
     #    sections in one dict, registered automatically (taken above,
     #    while the session was still serving).
-    sections = sorted(k for k in snapshot
-                      if k not in ("counters", "gauges", "histograms"))
+    sections = sorted(k for k in snapshot if k != "counters")
     print(f"metrics sections: {sections}")
     for name in sections:
         if name.startswith("cache"):

@@ -60,10 +60,9 @@ layout morphing, sparsity conversion and the layout search entirely:
 >>> session.cache.stats.hits, session.cache.stats.misses
 (1, 1)
 
-The pre-session entry points (``run_stencil``, ``sparstencil_solve``,
-``solve_many``, ``solve_sharded``, ``StencilServer.submit``) remain as
-deprecation-warning shims delegating to the default session; the README's
-"Session API" section has the migration table.
+``session.solve_batch(problems)`` compiles each distinct plan of a batch
+once, and ``session.run(compiled, grid, iterations)`` executes a plan that
+is already compiled.
 """
 
 from repro.stencils import (
@@ -105,8 +104,6 @@ from repro.core import (
     generate_kernel,
     render_cuda_source,
     compile_stencil,
-    run_stencil,
-    SparStencilCompiler,
     StencilBackend,
     register_backend,
     get_backend,
@@ -114,15 +111,10 @@ from repro.core import (
     registered_backends,
     available_backends,
 )
-from repro.core.pipeline import sparstencil_solve
 from repro.service import (
     CompileCache,
     CompileRequest,
-    SolveRequest,
     BatchReport,
-    solve_many,
-    run_stencil_batch,
-    solve_sharded,
 )
 from repro.server import (
     StencilServer,
@@ -185,7 +177,7 @@ from repro.obs import (
     reset_global_registry,
 )
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "StencilPattern",
@@ -221,9 +213,6 @@ __all__ = [
     "generate_kernel",
     "render_cuda_source",
     "compile_stencil",
-    "run_stencil",
-    "sparstencil_solve",
-    "SparStencilCompiler",
     "search_layout_many",
     "StencilBackend",
     "register_backend",
@@ -233,11 +222,7 @@ __all__ = [
     "available_backends",
     "CompileCache",
     "CompileRequest",
-    "SolveRequest",
     "BatchReport",
-    "solve_many",
-    "run_stencil_batch",
-    "solve_sharded",
     "StencilServer",
     "ServerConfig",
     "ServerResult",

@@ -45,7 +45,6 @@ from repro.core.codegen import (
     BACKEND_ENV_VAR,
     DEFAULT_BACKEND,
     KernelPlan,
-    NumbaBackend,
     NumpyBackend,
     StencilBackend,
     TcuSimBackend,
@@ -58,7 +57,6 @@ from repro.core.codegen import (
     resolve_backend,
 )
 from repro.core.pipeline import (
-    SparStencilCompiler,
     CompileOptions,
     CompiledStencil,
     StencilRunResult,
@@ -66,7 +64,6 @@ from repro.core.pipeline import (
     compile_resolved,
     compile_stencil,
     resolve_compile_options,
-    run_stencil,
 )
 
 __all__ = [
@@ -113,7 +110,6 @@ __all__ = [
     "StencilBackend",
     "TcuSimBackend",
     "NumpyBackend",
-    "NumbaBackend",
     "DEFAULT_BACKEND",
     "BACKEND_ENV_VAR",
     "register_backend",
@@ -121,7 +117,6 @@ __all__ = [
     "resolve_backend",
     "registered_backends",
     "available_backends",
-    "SparStencilCompiler",
     "CompileOptions",
     "CompiledStencil",
     "StencilRunResult",
@@ -129,5 +124,4 @@ __all__ = [
     "compile_resolved",
     "compile_stencil",
     "resolve_compile_options",
-    "run_stencil",
 ]

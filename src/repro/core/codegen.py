@@ -28,8 +28,9 @@ hangs C/OpenMP/OpenCL transformers off a single kernel frontend:
   single-device; per-sweep device timing/utilisation are billed from the
   plan's roofline estimate, so modelled metrics stay comparable across
   backends.
-* ``"numba"`` — a JIT-compiled flat-gather loop, registered only when the
-  optional :mod:`numba` dependency imports.
+
+Further backends plug in through :func:`register_backend`; one whose
+dependency does not import reports itself unavailable instead of failing.
 
 Every backend executes the *same* :class:`KernelPlan` (the compile pipeline
 is backend-independent); what changes is how a sweep is carried out on the
@@ -38,9 +39,9 @@ host.  The backend name joins the compile fingerprint
 backends, and it is recorded in :class:`repro.session.Provenance`.
 
 Tolerance contract: ``tcu-sim`` carries the simulated device's precision
-(fp16/bf16/tf32 operand rounding with fp32 accumulation); ``numpy`` /
-``numba`` compute in float64.  Outputs of any two backends therefore agree
-within the *device* tolerance of the dtype (the ``ref_tol`` the golden suite
+(fp16/bf16/tf32 operand rounding with fp32 accumulation); ``numpy``
+computes in float64.  Outputs of the two backends therefore agree within
+the *device* tolerance of the dtype (the ``ref_tol`` the golden suite
 already uses against the float64 reference — e.g. ~2e-2 absolute for fp16
 Table-2 workloads), and are bit-identical only where the math permits
 (backends never reorder each other's summation).
@@ -49,7 +50,6 @@ Table-2 workloads), and are bit-identical only where the math permits
 from __future__ import annotations
 
 import abc
-import importlib.util
 import os
 import threading
 from dataclasses import dataclass
@@ -76,7 +76,6 @@ __all__ = [
     "StencilBackend",
     "TcuSimBackend",
     "NumpyBackend",
-    "NumbaBackend",
     "DEFAULT_BACKEND",
     "BACKEND_ENV_VAR",
     "register_backend",
@@ -381,9 +380,9 @@ class StencilBackend(abc.ABC):
     def is_available(self) -> bool:
         """Whether this backend can run in the current environment.
 
-        Backends gated on optional dependencies (``numba``) report ``False``
-        instead of failing at import time; resolving an unavailable backend
-        raises a :class:`~repro.util.validation.ValidationError`.
+        A backend gated on an optional dependency reports ``False`` instead
+        of failing at import time; resolving an unavailable backend raises a
+        :class:`~repro.util.validation.ValidationError`.
         """
         return True
 
@@ -404,7 +403,7 @@ class StencilBackend(abc.ABC):
 def _modelled_launch(context: "Any") -> LaunchResult:
     """A :class:`LaunchResult` billing the plan's roofline estimate.
 
-    Host-side backends (``numpy`` / ``numba``) skip the functional device
+    Host-side backends such as ``numpy`` skip the functional device
     simulation, so they have no measured fragment path to derive timing
     from; they bill the same per-sweep model
     (:class:`~repro.core.perf_model.PerfEstimate`) the layout search and the
@@ -504,78 +503,6 @@ class NumpyBackend(StencilBackend):
         return sweep
 
 
-#: Process-wide memo of the JIT-compiled numba gather kernel (compiled once,
-#: reused by every plan).
-_NUMBA_KERNEL: Optional[Callable] = None
-_NUMBA_KERNEL_LOCK = threading.Lock()
-
-
-def _numba_kernel() -> Callable:
-    global _NUMBA_KERNEL
-    with _NUMBA_KERNEL_LOCK:
-        if _NUMBA_KERNEL is None:
-            import numba
-
-            @numba.njit(parallel=True, cache=False)
-            def kernel(flat, base_idx, tap_offsets, weights, out):  # pragma: no cover - needs numba
-                for i in numba.prange(base_idx.size):
-                    acc = 0.0
-                    base = base_idx[i]
-                    for j in range(tap_offsets.size):
-                        acc += weights[j] * flat[base + tap_offsets[j]]
-                    out[i] = acc
-
-            _NUMBA_KERNEL = kernel
-    return _NUMBA_KERNEL
-
-
-class NumbaBackend(StencilBackend):
-    """JIT flat-gather sweep, gated on the optional :mod:`numba` import.
-
-    Every tap becomes one flat offset into the raveled grid; the JIT kernel
-    gathers and accumulates per interior cell in parallel.  Registered
-    unconditionally but :meth:`is_available` only when ``numba`` imports, so
-    environments without the dependency simply cannot resolve it.
-    """
-
-    name = "numba"
-    description = "numba-JIT flat-gather sweep over precomputed tap offsets"
-
-    def is_available(self) -> bool:
-        return importlib.util.find_spec("numba") is not None
-
-    def make_sweep(self, context):  # pragma: no cover - exercised only with numba installed
-        compiled = context.compiled
-        pattern = compiled.pattern
-        shape = compiled.grid_shape
-        radius = pattern.radius
-        interior = context.interior
-        template = _modelled_launch(context)
-
-        strides = np.asarray(
-            [int(np.prod(shape[axis + 1:], dtype=np.int64))
-             for axis in range(len(shape))], dtype=np.int64)
-        tap_offsets = np.asarray(
-            [int(np.dot(offsets, strides)) for offsets in pattern.offsets],
-            dtype=np.int64)
-        weights = np.asarray(pattern.weights, dtype=np.float64)
-        interior_shape = tuple(size - 2 * radius for size in shape)
-        mesh = np.meshgrid(*[np.arange(radius, size - radius)
-                             for size in shape], indexing="ij")
-        base_idx = np.ravel_multi_index(
-            tuple(m.reshape(-1) for m in mesh), shape).astype(np.int64)
-        kernel = _numba_kernel()
-
-        def sweep(current: np.ndarray) -> LaunchResult:
-            flat = np.ascontiguousarray(current).reshape(-1)
-            out = np.empty(base_idx.size, dtype=np.float64)
-            kernel(flat, base_idx, tap_offsets, weights, out)
-            current[interior] = out.reshape(interior_shape)
-            return template
-
-        return sweep
-
-
 _BACKENDS: Dict[str, StencilBackend] = {}
 _BACKENDS_LOCK = threading.Lock()
 
@@ -637,4 +564,3 @@ def resolve_backend(name: Optional[str] = None) -> str:
 
 register_backend(TcuSimBackend())
 register_backend(NumpyBackend())
-register_backend(NumbaBackend())

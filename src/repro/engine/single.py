@@ -1,4 +1,4 @@
-"""Single-device executor: the original ``run_stencil`` loop as an engine.
+"""Single-device executor: the stencil sweep loop as an engine.
 
 This is the behaviour the monolithic loop in :mod:`repro.core.pipeline` used
 to implement, expressed through the step API of :mod:`repro.engine.base`,

@@ -8,10 +8,11 @@ timers with two first-class primitives:
   modelled device seconds) with context propagation and a zero-overhead
   no-op path when disabled.  Exportable as JSONL or Chrome trace-event JSON
   (Perfetto / ``chrome://tracing``).
-* :class:`~repro.obs.metrics.MetricsRegistry` — process-wide counters,
-  gauges and rolling-percentile histograms that the serving telemetry,
-  compile cache and occupancy ledger re-register into, so one
-  ``snapshot()`` covers the whole system.
+* :class:`~repro.obs.metrics.MetricsRegistry` — process-wide counters
+  plus the snapshot sections that the serving telemetry (with its
+  rolling-percentile :class:`~repro.obs.metrics.RollingLatency` windows),
+  compile cache and occupancy ledger re-register, so one ``snapshot()``
+  covers the whole system.
 
 The ROADMAP's autotuning (measured sweep times to calibrate the perf model)
 and async-serving (per-tenant latency attribution) items consume this
@@ -26,8 +27,6 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import (
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     RollingLatency,
     global_registry,
@@ -43,8 +42,6 @@ __all__ = [
     "span",
     "RollingLatency",
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "global_registry",
     "reset_global_registry",

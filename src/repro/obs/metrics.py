@@ -1,11 +1,11 @@
-"""Unified metrics: counters, gauges, rolling histograms and a process-wide
+"""Unified metrics: counters, rolling latency windows and a process-wide
 registry every subsystem re-registers into.
 
 Before this module existed the repo had five disjoint stats objects
 (``ServerTelemetry``, ``CacheStats``, ``OccupancyLedger.snapshot``,
 ``ShardedRunResult`` timing fields, ``util/timing.py``); an operator had to
 know which layer owned which number.  :class:`MetricsRegistry` gives them one
-roof: primitives created through the registry are exported by
+roof: counters created through the registry are exported by
 :meth:`MetricsRegistry.snapshot`, and existing stats objects register a
 zero-arg *provider* callback (held via weakref so a dead server or cache
 prunes itself) whose dict is embedded in the same snapshot.
@@ -23,25 +23,17 @@ import math
 import threading
 import weakref
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, Optional
 
 from repro.util.validation import require, require_positive_int
 
 __all__ = [
     "RollingLatency",
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "global_registry",
     "reset_global_registry",
 ]
-
-#: Default log-spaced bucket bounds (seconds) for latency histograms: 1 µs up
-#: to 100 s in decade steps — wide enough for both warm cache hits (~1 µs)
-#: and cold sharded compiles (~100 ms).
-DEFAULT_BUCKET_BOUNDS: Tuple[float, ...] = tuple(
-    10.0 ** e for e in range(-6, 3))
 
 
 class RollingLatency:
@@ -106,31 +98,6 @@ class RollingLatency:
         """Mean over every sample ever recorded (windowless)."""
         return self._total / self._count if self._count else 0.0
 
-    def histogram_buckets(
-            self, bounds: Optional[Sequence[float]] = None
-    ) -> List[Tuple[float, int]]:
-        """Cumulative (Prometheus-style) bucket counts over the window.
-
-        Returns ``(upper_bound, samples_le_bound)`` pairs, always ending with
-        an ``(inf, window_size)`` catch-all, so the last count equals the
-        number of samples currently in the window.
-        """
-        if bounds is None:
-            bounds = DEFAULT_BUCKET_BOUNDS
-        else:
-            bounds = tuple(sorted(float(b) for b in bounds))
-            require(all(b > 0 for b in bounds),
-                    "histogram bounds must be positive")
-        ordered = sorted(self._samples)
-        buckets: List[Tuple[float, int]] = []
-        index = 0
-        for bound in bounds:
-            while index < len(ordered) and ordered[index] <= bound:
-                index += 1
-            buckets.append((bound, index))
-        buckets.append((math.inf, len(ordered)))
-        return buckets
-
     def as_dict(self) -> Dict[str, float]:
         """Window-consistent export: ``mean``/``max``/percentiles all
         describe the same rolling window, so a long-lived server's mean is
@@ -171,78 +138,17 @@ class Counter:
             return self._value
 
 
-class Gauge:
-    """A value that can go up and down (queue depth, devices in use)."""
-
-    def __init__(self, name: str, description: str = "") -> None:
-        self.name = name
-        self.description = description
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-
-class Histogram:
-    """Rolling-window distribution with the :class:`RollingLatency`
-    percentile semantics plus cumulative buckets."""
-
-    def __init__(self, name: str, description: str = "",
-                 window: int = 2048,
-                 bounds: Optional[Sequence[float]] = None) -> None:
-        self.name = name
-        self.description = description
-        self._lock = threading.Lock()
-        self._rolling = RollingLatency(window)
-        self._bounds = bounds
-
-    def observe(self, seconds: float) -> None:
-        with self._lock:
-            self._rolling.record(seconds)
-
-    def percentile(self, p: float) -> float:
-        with self._lock:
-            return self._rolling.percentile(p)
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._rolling.count
-
-    def as_dict(self) -> Dict[str, Any]:
-        with self._lock:
-            stats: Dict[str, Any] = self._rolling.as_dict()
-            stats["buckets"] = [
-                {"le": bound, "count": count}
-                for bound, count in self._rolling.histogram_buckets(
-                    self._bounds)
-            ]
-        return stats
-
-
 #: A provider is a zero-arg callable returning a JSON-serialisable dict.
 Provider = Callable[[], Dict[str, Any]]
 
+#: The snapshot section holding the registry's own counters.
+_COUNTERS_SECTION = "counters"
+
 
 class MetricsRegistry:
-    """Process-wide metric namespace: primitives plus provider callbacks.
+    """Process-wide metric namespace: counters plus provider callbacks.
 
-    ``counter``/``gauge``/``histogram`` get-or-create named primitives.
+    :meth:`counter` gets or creates a named :class:`Counter`.
     :meth:`register_provider` attaches an existing stats object's zero-arg
     export (``ServerTelemetry.snapshot``, ``OccupancyLedger.snapshot``,
     ``CompileCache.metrics_snapshot``) under a section name; bound methods
@@ -254,33 +160,15 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
         self._providers: Dict[str, Any] = {}  # name -> WeakMethod | callable
 
-    # -- primitives ---------------------------------------------------------
+    # -- counters -----------------------------------------------------------
 
     def counter(self, name: str, description: str = "") -> Counter:
         with self._lock:
             if name not in self._counters:
                 self._counters[name] = Counter(name, description)
             return self._counters[name]
-
-    def gauge(self, name: str, description: str = "") -> Gauge:
-        with self._lock:
-            if name not in self._gauges:
-                self._gauges[name] = Gauge(name, description)
-            return self._gauges[name]
-
-    def histogram(self, name: str, description: str = "",
-                  window: int = 2048,
-                  bounds: Optional[Sequence[float]] = None) -> Histogram:
-        with self._lock:
-            if name not in self._histograms:
-                self._histograms[name] = Histogram(name, description,
-                                                   window=window,
-                                                   bounds=bounds)
-            return self._histograms[name]
 
     # -- providers ----------------------------------------------------------
 
@@ -296,7 +184,8 @@ class MetricsRegistry:
 
         A live name collision gets a numeric suffix (``cache``, ``cache-2``,
         …) so several instances of the same subsystem can coexist; dead
-        (garbage-collected) entries are reclaimed in place.
+        (garbage-collected) entries are reclaimed in place.  ``"counters"``
+        is the registry's own section, so a provider never takes it.
         """
         entry: Any = provider
         if weak:
@@ -308,7 +197,7 @@ class MetricsRegistry:
             self._prune_locked()
             actual = name
             suffix = 2
-            while actual in self._providers:
+            while actual in self._providers or actual == _COUNTERS_SECTION:
                 actual = f"{name}-{suffix}"
                 suffix += 1
             self._providers[actual] = entry
@@ -327,18 +216,14 @@ class MetricsRegistry:
     # -- export -------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
-        """One plain-dict export of every primitive and provider section."""
+        """One plain-dict export of every counter and provider section."""
         with self._lock:
             self._prune_locked()
             counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
             providers = dict(self._providers)
         out: Dict[str, Any] = {
-            "counters": {name: c.value for name, c in counters.items()},
-            "gauges": {name: g.value for name, g in gauges.items()},
-            "histograms": {name: h.as_dict()
-                           for name, h in histograms.items()},
+            _COUNTERS_SECTION: {name: c.value
+                                for name, c in counters.items()},
         }
         for name, entry in providers.items():
             fn = self._resolve(entry)
@@ -353,8 +238,6 @@ class MetricsRegistry:
     def clear(self) -> None:
         with self._lock:
             self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
             self._providers.clear()
 
 

@@ -25,8 +25,8 @@ requests and drives those halves as fast as the (simulated) hardware allows:
   coalescing ratio, cache hit rate and per-device utilization, exported as
   one plain dict;
 * :mod:`repro.server.facade` — the synchronous :class:`StencilServer`
-  (``submit`` / ``drain`` / ``shutdown``, context manager) exported from
-  :mod:`repro`.
+  (``submit_problem`` / ``drain`` / ``shutdown``, context manager) exported
+  from :mod:`repro`.
 """
 
 from repro.server.queue import (

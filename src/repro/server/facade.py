@@ -51,10 +51,7 @@ from repro.server.scheduler import RouteCancelledError
 from repro.server.telemetry import ServerTelemetry
 from repro.service.cache import CompileCache, rebrand
 from repro.session.problem import Problem, SolvePolicy
-from repro.stencils.grid import Grid
-from repro.stencils.pattern import StencilPattern
 from repro.tcu.spec import MultiDeviceSpec
-from repro.util.deprecation import warn_legacy
 from repro.util.validation import require, require_positive_int
 
 __all__ = ["ServerConfig", "ServerResult", "SubmitHandle", "StencilServer"]
@@ -254,36 +251,6 @@ class StencilServer:
     # ------------------------------------------------------------------ #
     # client API (any thread, synchronous)
     # ------------------------------------------------------------------ #
-    def submit(self, pattern: StencilPattern, grid: Grid, iterations: int, *,
-               tag: Optional[str] = None,
-               deadline_seconds: Optional[float] = None,
-               **options: Any) -> SubmitHandle:
-        """Deprecated shim: build a :class:`~repro.session.Problem` and admit
-        it through :meth:`submit_problem`.
-
-        .. deprecated:: 1.1
-           Use :meth:`submit_problem` (or
-           ``StencilSession.solve(mode="served")`` for a blocking call).
-        """
-        warn_legacy("StencilServer.submit()",
-                    "StencilServer.submit_problem(Problem(...))")
-        problem = Problem(pattern=pattern, grid=grid, iterations=iterations,
-                          options=dict(options), tag=tag)
-        return self.submit_problem(problem, deadline_seconds=deadline_seconds)
-
-    def submit_request(self, request: Problem, *,
-                       deadline_seconds: Optional[float] = None
-                       ) -> SubmitHandle:
-        """Deprecated alias of :meth:`submit_problem`.
-
-        .. deprecated:: 1.1
-           The session layer renamed the request vocabulary: servers accept
-           :class:`~repro.session.Problem` via :meth:`submit_problem`.
-        """
-        warn_legacy("StencilServer.submit_request()",
-                    "StencilServer.submit_problem()")
-        return self.submit_problem(request, deadline_seconds=deadline_seconds)
-
     def submit_problem(self, problem: Problem, *,
                        deadline_seconds: Optional[float] = None
                        ) -> SubmitHandle:

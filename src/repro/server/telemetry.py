@@ -15,9 +15,9 @@ import time
 from collections import Counter
 from typing import Any, Dict, Optional
 
-# RollingLatency now lives in the observability substrate (re-exported here
-# for compatibility): the same rolling-percentile window backs the metrics
-# registry's histograms and the occupancy ledger's hold-time stats.
+# RollingLatency lives in the observability substrate (re-exported here for
+# compatibility): the same rolling-percentile window backs the occupancy
+# ledger's hold-time stats.
 from repro.obs.metrics import RollingLatency, global_registry
 
 __all__ = ["RollingLatency", "ServerTelemetry"]

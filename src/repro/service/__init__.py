@@ -9,13 +9,11 @@ independent requests, which is what a deployment serving many users needs:
 * :mod:`repro.service.cache` — a thread-safe LRU :class:`CompileCache` with
   hit/miss statistics and optional on-disk plan persistence;
 * :mod:`repro.service.batch` — :func:`execute_batch`, the batched solve
-  engine behind :meth:`repro.StencilSession.solve_batch` (and the deprecated
-  ``solve_many`` / ``run_stencil_batch`` / ``solve_sharded`` shims), which
-  groups heterogeneous requests by fingerprint, compiles each distinct plan
-  once (in parallel) and reports aggregate throughput.
+  engine behind :meth:`repro.StencilSession.solve_batch`, which groups
+  heterogeneous requests by fingerprint, compiles each distinct plan once
+  (in parallel) and reports aggregate throughput.
 
-The canonical request type is :class:`repro.session.Problem`;
-``SolveRequest`` survives as a deprecated alias of it.
+The request type is :class:`repro.session.Problem`.
 """
 
 from repro.service.fingerprint import (
@@ -28,11 +26,7 @@ from repro.service.batch import (
     BatchItem,
     BatchReport,
     Problem,
-    SolveRequest,
     execute_batch,
-    run_stencil_batch,
-    solve_many,
-    solve_sharded,
 )
 
 __all__ = [
@@ -46,9 +40,5 @@ __all__ = [
     "BatchItem",
     "BatchReport",
     "Problem",
-    "SolveRequest",
     "execute_batch",
-    "run_stencil_batch",
-    "solve_many",
-    "solve_sharded",
 ]

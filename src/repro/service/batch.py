@@ -8,10 +8,7 @@ shared plan.  The report carries per-request results plus the aggregate
 throughput and cache numbers a serving deployment would export as metrics.
 
 User code reaches this engine through :meth:`repro.StencilSession.solve_batch`
-(or the online server, whose micro-batches land here too).  The historical
-``solve_many`` / ``solve_sharded`` entry points remain as
-deprecation-warning shims that delegate to the default session, and
-``SolveRequest`` is a deprecated alias of :class:`repro.session.Problem`.
+(or the online server, whose micro-batches land here too).
 """
 
 from __future__ import annotations
@@ -30,30 +27,10 @@ from repro.obs.trace import current_span, span as obs_span
 from repro.service.cache import CacheStats, CompileCache, rebrand
 from repro.service.fingerprint import CompileRequest
 from repro.session.problem import Problem
-from repro.util.deprecation import warn_legacy
 from repro.util.parallel import parallel_map
 from repro.util.validation import require, require_positive_int
 
-__all__ = ["Problem", "SolveRequest", "BatchItem", "BatchReport",
-           "execute_batch", "solve_many", "run_stencil_batch",
-           "solve_sharded"]
-
-
-class SolveRequest(Problem):
-    """Deprecated alias of :class:`repro.session.Problem`.
-
-    .. deprecated:: 1.1
-       The session layer made ``Problem`` the canonical request vocabulary
-       (one name across the batch service, the server and the session
-       itself).  Constructing a ``SolveRequest`` emits a
-       ``DeprecationWarning`` and behaves exactly like a ``Problem``.
-    """
-
-    def __post_init__(self, dtype: Optional[Any] = None) -> None:
-        # frame chain: warn_legacy -> __post_init__ -> dataclass __init__ ->
-        # caller, so the warning is attributed to the constructing module
-        warn_legacy("SolveRequest", "repro.session.Problem", stacklevel=4)
-        super().__post_init__(dtype)
+__all__ = ["Problem", "BatchItem", "BatchReport", "execute_batch"]
 
 
 @dataclass(frozen=True)
@@ -251,75 +228,3 @@ def execute_batch(
         # batches, and a report must describe the batch it came from
         cache_stats=cache.snapshot_stats(),
     )
-
-
-def solve_many(
-    requests: Sequence[Problem],
-    *,
-    cache: Optional[CompileCache] = None,
-    max_workers: Optional[int] = None,
-    compile_requests: Optional[Sequence[CompileRequest]] = None,
-) -> BatchReport:
-    """Deprecated shim: batched solve through the default session.
-
-    .. deprecated:: 1.1
-       Use :meth:`repro.StencilSession.solve_batch`.  Behaviour (including
-       the private per-batch cache when ``cache`` is omitted) and results
-       are bit-identical.
-    """
-    from repro.session import default_session
-
-    warn_legacy("solve_many()", "StencilSession.solve_batch()")
-    return default_session().solve_batch(
-        requests, cache=cache, max_workers=max_workers,
-        compile_requests=compile_requests)
-
-
-def run_stencil_batch(
-    requests: Sequence[Problem],
-    *,
-    cache: Optional[CompileCache] = None,
-    max_workers: Optional[int] = None,
-) -> List[StencilRunResult]:
-    """Deprecated shim: batched solve returning just the run results.
-
-    .. deprecated:: 1.1
-       Use ``StencilSession.solve_batch(problems).results``.
-    """
-    from repro.session import default_session
-
-    warn_legacy("run_stencil_batch()",
-                "StencilSession.solve_batch(...).results")
-    return default_session().solve_batch(
-        requests, cache=cache, max_workers=max_workers).results
-
-
-def solve_sharded(
-    pattern,
-    grid,
-    iterations: int,
-    *,
-    devices=2,
-    shard_grid: Optional[Tuple[int, ...]] = None,
-    cache: Optional[CompileCache] = None,
-    max_workers: Optional[int] = None,
-    tag: Optional[str] = None,
-    **compile_kwargs,
-):
-    """Deprecated shim: sharded solve through the default session.
-
-    .. deprecated:: 1.1
-       Use :meth:`repro.StencilSession.solve` with
-       ``SolvePolicy(mode="sharded", devices=..., shard_grid=...)`` (or
-       ``mode="auto"`` to let the perf/partition model decide).  Returns the
-       bit-identical ``(CompiledStencil, ShardedRunResult)`` pair.
-    """
-    from repro.session import Problem, SolvePolicy, default_session
-
-    warn_legacy("solve_sharded()", 'StencilSession.solve(mode="sharded")')
-    solution = default_session().solve(
-        Problem(pattern, grid, iterations, options=compile_kwargs, tag=tag),
-        SolvePolicy(mode="sharded", devices=devices, shard_grid=shard_grid,
-                    max_workers=max_workers),
-        cache=cache)
-    return solution.compiled, solution.result

@@ -15,8 +15,7 @@ comparators::
 * :mod:`repro.session.registry` — the :class:`ExecutorRegistry` mapping
   policy modes to engines;
 * :mod:`repro.session.session` — :class:`StencilSession`,
-  :class:`SessionConfig` and the :func:`default_session` the legacy shims
-  delegate to.
+  :class:`SessionConfig` and the process-wide :func:`default_session`.
 
 Only the vocabulary is imported eagerly (the lower service layer shares it);
 the facade loads on first attribute access, which keeps

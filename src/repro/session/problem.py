@@ -6,8 +6,7 @@ took its own argument convention.  The session API gives them one:
 
 * :class:`Problem` — *what* to solve: a stencil pattern, a grid, an
   iteration count, the compile options and an optional attribution tag.
-  This is the canonical request type; :class:`repro.service.SolveRequest`
-  is a deprecated alias of it.
+  The batch service and the server take the same type.
 * :class:`SolvePolicy` — *how* to solve it: the routing mode
   (``auto | single | sharded | served | baseline:<name>``), a deadline,
   the device/shard spec and batching hints.

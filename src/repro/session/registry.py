@@ -83,8 +83,7 @@ class SessionExecutor(abc.ABC):
 
 
 class SingleDeviceSessionExecutor(SessionExecutor):
-    """Compile (through the cache) and sweep on one simulated device —
-    the code path the legacy ``sparstencil_solve`` shim delegates to."""
+    """Compile (through the cache) and sweep on one simulated device."""
 
     name = "single"
 
@@ -114,8 +113,7 @@ class SingleDeviceSessionExecutor(SessionExecutor):
 
 class ShardedSessionExecutor(SessionExecutor):
     """Domain-decomposed execution across the session pool (or the policy's
-    device override) — the code path the legacy ``solve_sharded`` shim
-    delegates to.  Bit-identical to single-device execution."""
+    device override).  Bit-identical to single-device execution."""
 
     name = "sharded"
 

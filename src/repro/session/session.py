@@ -14,11 +14,6 @@ perf/partition model: latency-bound problems stay on one device, large grids
 shard across the pool, and the decision is recorded in
 :attr:`Solution.provenance`.  Explicit modes (``single``, ``sharded``,
 ``served``, ``baseline:<name>``) pin the engine instead.
-
-The five legacy entry points (``run_stencil``, ``sparstencil_solve``,
-``solve_many``, ``solve_sharded``, ``StencilServer.submit``) are
-deprecation-warning shims over :func:`default_session`, so old and new code
-share a single execution path.
 """
 
 from __future__ import annotations
@@ -50,8 +45,7 @@ __all__ = [
 ]
 
 #: Sentinel distinguishing "use the session cache" from an explicit ``None``
-#: (= no caching), which the legacy shims rely on to preserve exact
-#: cache-statistics semantics.
+#: (= no shared cache for this call).
 _UNSET: Any = object()
 
 
@@ -160,8 +154,7 @@ class StencilSession:
         ``policy`` may be omitted and built from keyword overrides
         (``session.solve(problem, mode="sharded", devices=2)``).  ``cache``
         overrides the session cache for this call only — ``None`` disables
-        caching entirely, which is what the legacy shims use to keep their
-        original cache-statistics semantics.  ``mode="served"`` always
+        caching entirely.  ``mode="served"`` always
         executes through the session cache (the server compiled into it)
         and rejects per-call cache overrides.
         """
@@ -236,8 +229,8 @@ class StencilSession:
         """Solve a heterogeneous batch: compile each distinct plan once,
         sweep every problem (see :class:`repro.service.BatchReport`).
 
-        ``cache=None`` reproduces the legacy ``solve_many`` behaviour of a
-        private per-batch cache; by default the session cache is shared.
+        ``cache=None`` compiles through a private per-batch cache; by
+        default the session cache is shared.
         """
         with self.tracer.span("solve_batch", requests=len(problems)):
             report = self.execute_batch(problems, cache=cache,
@@ -250,9 +243,9 @@ class StencilSession:
             cache: Any = _UNSET, tag: Optional[str] = None) -> Solution:
         """Execute an already-compiled plan on one device.
 
-        The precompiled analogue of ``solve(mode="single")`` — what the
-        legacy ``run_stencil`` shim delegates to.  The original compile
-        request is unknown here, so :attr:`Solution.fingerprint` is empty.
+        The precompiled analogue of ``solve(mode="single")``.  The original
+        compile request is unknown here, so :attr:`Solution.fingerprint` is
+        empty.
         """
         with self.tracer.span("run", iterations=iterations,
                               tag=tag) as root_span:
@@ -481,17 +474,16 @@ class StencilSession:
 
 
 # ---------------------------------------------------------------------- #
-# the default session (what the legacy shims delegate to)
+# the default session
 # ---------------------------------------------------------------------- #
 _DEFAULT_SESSION: Optional[StencilSession] = None
 _DEFAULT_SESSION_LOCK = threading.Lock()
 
 
 def default_session() -> StencilSession:
-    """The process-wide session backing the legacy shims.
+    """The process-wide session for callers that do not own one.
 
-    Single-device pool (legacy callers spell sharding explicitly) and a
-    standard cache; created on first use.
+    Single-device pool and a standard cache; created on first use.
     """
     global _DEFAULT_SESSION
     with _DEFAULT_SESSION_LOCK:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.session import StencilSession
 from repro.stencils.grid import Grid, make_grid
 from repro.stencils.pattern import StencilPattern
 
@@ -17,6 +18,13 @@ def pytest_configure(config: pytest.Config) -> None:
         "slow: heavier golden-regression / property tests "
         "(deselect with -m \"not slow\")",
     )
+
+
+@pytest.fixture
+def session():
+    """A fresh single-device :class:`StencilSession`, closed afterwards."""
+    with StencilSession() as session:
+        yield session
 
 
 @pytest.fixture

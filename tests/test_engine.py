@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.codegen import DENSE_KERNEL_REGISTERS, SPARSE_KERNEL_REGISTERS
-from repro.core.pipeline import compile_stencil, run_stencil
+from repro.core.pipeline import compile_stencil
 from repro.engine import (
     SingleDeviceExecutor,
     SweepExecutor,
@@ -56,65 +56,67 @@ class TestStepAPI:
 
 
 class TestSingleDeviceExecutor:
-    def test_matches_run_stencil_wrapper(self, heat2d):
+    def test_matches_run_stencil_wrapper(self, session, heat2d):
+        """The session's precompiled-plan entry runs this engine."""
         compiled = compile_stencil(heat2d, (48, 48))
         grid = make_grid((48, 48), seed=4)
         via_engine = SingleDeviceExecutor().execute(compiled, grid, 3)
-        via_wrapper = run_stencil(compiled, grid, 3)
+        via_wrapper = session.run(compiled, grid, 3).result
         assert np.array_equal(via_engine.output, via_wrapper.output)
         assert via_engine.elapsed_seconds == via_wrapper.elapsed_seconds
 
-    def test_points_updated_reported(self, heat2d):
+    def test_points_updated_reported(self, session, heat2d):
         compiled = compile_stencil(heat2d, (48, 48))
         grid = make_grid((48, 48), seed=4)
-        result = run_stencil(compiled, grid, 3)
+        result = session.run(compiled, grid, 3).result
         assert result.points_updated == pytest.approx(3 * 46 * 46)
 
-    def test_utilization_aggregates_identical_sweeps_exactly(self, heat2d):
+    def test_utilization_aggregates_identical_sweeps_exactly(self, session,
+                                                            heat2d):
         """Homogeneous sweeps must report the per-sweep counters unchanged."""
         compiled = compile_stencil(heat2d, (48, 48))
         grid = make_grid((48, 48), seed=4)
-        one = run_stencil(compiled, grid, 1)
-        many = run_stencil(compiled, grid, 4)
+        one = session.run(compiled, grid, 1).result
+        many = session.run(compiled, grid, 4).result
         assert many.utilization == one.utilization
 
 
 class TestLeftoverSweeps:
-    def test_leftover_matches_mixed_reference(self, heat2d):
+    def test_leftover_matches_mixed_reference(self, session, heat2d):
         """sweeps fused + leftover plain must equal fused-then-plain reference."""
         grid = make_grid((44, 44), seed=8)
         compiled = compile_stencil(heat2d, (44, 44), temporal_fusion=2)
-        result = run_stencil(compiled, grid, iterations=5)
+        result = session.run(compiled, grid, iterations=5).result
         assert result.sweeps == 3           # 2 fused + 1 plain
         assert result.leftover_sweeps == 1
         reference = run_stencil_iterations(heat2d, grid, 5)
         inner = tuple(slice(4, -4) for _ in range(2))
         assert np.max(np.abs(result.output[inner] - reference[inner])) < FP16_TOL
 
-    def test_iterations_below_fusion_run_plain(self, heat2d):
+    def test_iterations_below_fusion_run_plain(self, session, heat2d):
         grid = make_grid((44, 44), seed=8)
         compiled = compile_stencil(heat2d, (44, 44), temporal_fusion=3)
-        result = run_stencil(compiled, grid, iterations=2)
+        result = session.run(compiled, grid, iterations=2).result
         assert result.sweeps == 2
         assert result.leftover_sweeps == 2
         reference = run_stencil_iterations(heat2d, grid, 2)
         assert np.max(np.abs(result.output - reference)) < FP16_TOL
 
-    def test_points_updated_counts_both_phases(self, heat2d):
+    def test_points_updated_counts_both_phases(self, session, heat2d):
         grid = make_grid((44, 44), seed=8)
         compiled = compile_stencil(heat2d, (44, 44), temporal_fusion=2)
-        result = run_stencil(compiled, grid, iterations=3)
+        result = session.run(compiled, grid, iterations=3).result
         fused_points = 2 * (44 - 2 * 2) ** 2   # one fused sweep, radius 2
         plain_points = 1 * (44 - 2 * 1) ** 2   # one plain sweep, radius 1
         assert result.points_updated == pytest.approx(fused_points + plain_points)
 
-    def test_leftover_plan_cached(self, heat2d):
+    def test_leftover_plan_cached(self, session, heat2d):
         grid = make_grid((44, 44), seed=8)
         cache = CompileCache()
         compiled = compile_stencil(heat2d, (44, 44), temporal_fusion=2)
-        run_stencil(compiled, grid, iterations=3, cache=cache)
+        session.run(compiled, grid, iterations=3, cache=cache)
         assert cache.stats.misses == 1      # leftover plan compiled once
-        run_stencil(compiled, grid, iterations=3, cache=cache)
+        session.run(compiled, grid, iterations=3, cache=cache)
         assert cache.stats.misses == 1
         assert cache.stats.hits == 1
 
@@ -133,10 +135,11 @@ class TestLeftoverEdgeCases:
     """iterations < temporal_fusion and iterations == 1: every sweep is a
     leftover sweep, executed entirely with the unfused companion plan."""
 
-    def test_single_iteration_under_fusion_runs_one_plain_sweep(self, heat2d):
+    def test_single_iteration_under_fusion_runs_one_plain_sweep(self, session,
+                                                                heat2d):
         grid = make_grid((44, 44), seed=8)
         compiled = compile_stencil(heat2d, (44, 44), temporal_fusion=2)
-        result = run_stencil(compiled, grid, iterations=1)
+        result = session.run(compiled, grid, iterations=1).result
         assert result.sweeps == 1
         assert result.leftover_sweeps == 1
         reference = run_stencil_iterations(heat2d, grid, 1)
@@ -145,11 +148,11 @@ class TestLeftoverEdgeCases:
         assert result.points_updated == pytest.approx((44 - 2) ** 2)
 
     @pytest.mark.parametrize("fusion,iterations", [(3, 1), (3, 2), (4, 3)])
-    def test_all_iterations_below_fusion_are_plain(self, heat2d, fusion,
-                                                   iterations):
+    def test_all_iterations_below_fusion_are_plain(self, session, heat2d,
+                                                   fusion, iterations):
         grid = make_grid((60, 60), seed=9)
         compiled = compile_stencil(heat2d, (60, 60), temporal_fusion=fusion)
-        result = run_stencil(compiled, grid, iterations=iterations)
+        result = session.run(compiled, grid, iterations=iterations).result
         assert result.sweeps == iterations
         assert result.leftover_sweeps == iterations
         reference = run_stencil_iterations(heat2d, grid, iterations)

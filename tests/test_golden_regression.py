@@ -26,8 +26,13 @@ import pytest
 
 from golden.generate_golden import CASES, fixture_path
 
-from repro import compile_stencil, get_benchmark, make_grid, run_stencil
-from repro.service import CompileCache, SolveRequest, solve_many
+from repro import (
+    CompileCache,
+    Problem,
+    compile_stencil,
+    get_benchmark,
+    make_grid,
+)
 
 CASE_IDS = [f"{c[0]}-{c[4]}" for c in CASES]
 
@@ -60,19 +65,19 @@ class TestGoldenRegression:
         assert int(fixture["seed"]) == seed
         assert str(fixture["boundary"]) == boundary
 
-    def test_run_stencil_matches_golden(self, name, grid_shape, iterations,
-                                        seed, boundary, ref_tol):
+    def test_run_stencil_matches_golden(self, session, name, grid_shape,
+                                        iterations, seed, boundary, ref_tol):
         fixture = load_fixture(name, boundary)
         pattern, grid = workload(name, grid_shape, seed, boundary)
         compiled = compile_stencil(pattern, grid_shape, boundary=boundary,
                                    backend="tcu-sim")
-        result = run_stencil(compiled, grid, iterations)
+        result = session.run(compiled, grid, iterations).result
         assert np.max(np.abs(result.output - fixture["reference"])) < ref_tol
         np.testing.assert_allclose(result.output, fixture["pipeline"],
                                    rtol=0.0, atol=DRIFT_TOL)
 
-    def test_cached_solve_matches_golden(self, name, grid_shape, iterations,
-                                         seed, boundary, ref_tol):
+    def test_cached_solve_matches_golden(self, session, name, grid_shape,
+                                         iterations, seed, boundary, ref_tol):
         fixture = load_fixture(name, boundary)
         pattern, grid = workload(name, grid_shape, seed, boundary)
         cache = CompileCache()
@@ -81,13 +86,13 @@ class TestGoldenRegression:
         compiled = cache.compile(pattern, grid_shape, boundary=boundary,
                                  backend="tcu-sim")  # warm hit
         assert cache.stats.hits == 1
-        result = run_stencil(compiled, grid, iterations)
+        result = session.run(compiled, grid, iterations).result
         np.testing.assert_allclose(result.output, fixture["pipeline"],
                                    rtol=0.0, atol=DRIFT_TOL)
 
 
 @pytest.mark.slow
-def test_batched_service_matches_goldens():
+def test_batched_service_matches_goldens(session):
     """One batch over all golden workloads reproduces every fixture.
 
     The batch mixes boundary conditions, so it also proves the coalescing
@@ -97,11 +102,11 @@ def test_batched_service_matches_goldens():
     fixtures = []
     for name, grid_shape, iterations, seed, boundary, _tol in CASES:
         pattern, grid = workload(name, grid_shape, seed, boundary)
-        requests.append(SolveRequest(pattern, grid, iterations,
-                                     options={"backend": "tcu-sim"},
-                                     tag=f"{name}-{boundary}"))
+        requests.append(Problem(pattern, grid, iterations,
+                                options={"backend": "tcu-sim"},
+                                tag=f"{name}-{boundary}"))
         fixtures.append(load_fixture(name, boundary))
-    report = solve_many(requests)
+    report = session.solve_batch(requests, cache=None)
     for item, fixture in zip(report.items, fixtures):
         np.testing.assert_allclose(item.result.output, fixture["pipeline"],
                                    rtol=0.0, atol=DRIFT_TOL)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.conversion import convert_to_24
 from repro.core.morphing import MorphConfig, morph_kernel_matrix
-from repro.core.pipeline import compile_stencil, run_stencil
+from repro.core.pipeline import compile_stencil
 from repro.core.staircase import block_structure_from_morph
 from repro.stencils.catalog import DOMAINS, catalog_by_domain
 from repro.stencils.grid import make_grid
@@ -53,11 +53,11 @@ class TestCatalogTransformations:
 @pytest.mark.parametrize("domain,pattern", _sample_kernels(),
                          ids=[d for d, _ in _sample_kernels()])
 class TestCatalogEndToEnd:
-    def test_pipeline_matches_reference(self, domain, pattern):
+    def test_pipeline_matches_reference(self, session, domain, pattern):
         shape = GRIDS[pattern.ndim]
         grid = make_grid(shape, kind="random", seed=29)
         compiled = compile_stencil(pattern, shape)
-        result = run_stencil(compiled, grid, iterations=2)
+        result = session.run(compiled, grid, iterations=2).result
         reference = run_stencil_iterations(pattern, grid, 2)
         tolerance = FP16_TOL * max(1.0, float(np.max(np.abs(reference))))
         assert np.max(np.abs(result.output - reference)) < tolerance

@@ -5,7 +5,7 @@ the SparStencil pipeline (scaled simulation grids) and matches the reference.
 import numpy as np
 import pytest
 
-from repro.core.pipeline import compile_stencil, run_stencil
+from repro.core.pipeline import compile_stencil
 from repro.stencils.catalog import table2_benchmarks
 from repro.stencils.grid import make_grid
 from repro.stencils.reference import run_stencil_iterations
@@ -24,12 +24,12 @@ FP16_TOL = 5e-3
 
 @pytest.mark.parametrize("config", table2_benchmarks(), ids=lambda c: c.name)
 class TestTable2EndToEnd:
-    def test_fp16_sparse_pipeline_matches_reference(self, config):
+    def test_fp16_sparse_pipeline_matches_reference(self, session, config):
         shape = TEST_GRIDS[config.pattern.ndim]
         grid = make_grid(shape, kind="random", seed=17)
         compiled = compile_stencil(config.pattern, shape,
                                    block_hint=config.block)
-        result = run_stencil(compiled, grid, iterations=2)
+        result = session.run(compiled, grid, iterations=2).result
         reference = run_stencil_iterations(config.pattern, grid, 2)
         # fp16 arithmetic: tolerance scales with the output magnitude (the
         # high-order Laplacian kernels have weights up to ~5 and outputs >> 1)
@@ -45,11 +45,11 @@ class TestTable2EndToEnd:
         assert plan.conversion.n_total % 4 == 0
         assert plan.estimate.n_mma > 0
 
-    def test_fp64_dense_fallback_matches_reference(self, config):
+    def test_fp64_dense_fallback_matches_reference(self, session, config):
         shape = TEST_GRIDS[config.pattern.ndim]
         grid = make_grid(shape, kind="random", seed=17)
         compiled = compile_stencil(config.pattern, shape, dtype=DataType.FP64)
-        result = run_stencil(compiled, grid, iterations=1)
+        result = session.run(compiled, grid, iterations=1).result
         reference = run_stencil_iterations(config.pattern, grid, 1)
         assert np.max(np.abs(result.output - reference)) < 1e-9
         assert compiled.engine == "dense_mma"

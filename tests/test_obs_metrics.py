@@ -1,12 +1,11 @@
 """Unified metrics: percentile edge cases, primitives, the registry."""
 
 import gc
-import math
 
 import pytest
 
 from repro.obs import MetricsRegistry, RollingLatency, reset_global_registry
-from repro.obs.metrics import DEFAULT_BUCKET_BOUNDS, global_registry
+from repro.obs.metrics import global_registry
 from repro.util.validation import ValidationError
 
 
@@ -66,56 +65,19 @@ class TestRollingLatencyPercentiles:
             rolling.record(-0.1)
 
 
-class TestHistogramBuckets:
-    def test_cumulative_counts_end_at_window_size(self):
-        rolling = RollingLatency()
-        for value in (5e-7, 5e-4, 5e-4, 0.5, 200.0):
-            rolling.record(value)
-        buckets = rolling.histogram_buckets()
-        assert buckets[-1] == (math.inf, 5)
-        counts = [count for _, count in buckets]
-        assert counts == sorted(counts)  # cumulative → monotone
-        by_bound = dict(buckets)
-        assert by_bound[1e-6] == 1
-        assert by_bound[1e-3] == 3
-        assert by_bound[1.0] == 4
-        assert by_bound[100.0] == 4  # the 200 s outlier only in the inf bucket
-
-    def test_custom_bounds_are_sorted_and_validated(self):
-        rolling = RollingLatency()
-        rolling.record(0.2)
-        buckets = rolling.histogram_buckets(bounds=[1.0, 0.1])
-        assert [bound for bound, _ in buckets] == [0.1, 1.0, math.inf]
-        with pytest.raises(ValidationError):
-            rolling.histogram_buckets(bounds=[-1.0])
-
-    def test_empty_window_buckets(self):
-        buckets = RollingLatency().histogram_buckets()
-        assert all(count == 0 for _, count in buckets)
-        assert len(buckets) == len(DEFAULT_BUCKET_BOUNDS) + 1
-
-
 # --------------------------------------------------------------------------- #
-# primitives + registry
+# counters + registry
 # --------------------------------------------------------------------------- #
 class TestRegistry:
-    def test_counter_gauge_histogram_round_trip(self):
+    def test_counter_round_trip(self):
         registry = MetricsRegistry()
         registry.counter("requests").inc(3)
-        registry.gauge("queue_depth").set(7)
-        registry.histogram("latency").observe(0.25)
         snap = registry.snapshot()
-        assert snap["counters"]["requests"] == 3
-        assert snap["gauges"]["queue_depth"] == 7.0
-        assert snap["histograms"]["latency"]["p50_seconds"] == \
-            pytest.approx(0.25)
-        assert snap["histograms"]["latency"]["buckets"][-1]["count"] == 1
+        assert snap["counters"] == {"requests": 3}
 
     def test_primitives_are_get_or_create(self):
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
-        assert registry.gauge("b") is registry.gauge("b")
-        assert registry.histogram("c") is registry.histogram("c")
 
     def test_counter_rejects_negative(self):
         with pytest.raises(ValidationError):
@@ -136,6 +98,18 @@ class TestRegistry:
         assert (first, second) == ("cache", "cache-2")
         snap = registry.snapshot()
         assert snap["cache"] == {"n": 1} and snap["cache-2"] == {"n": 2}
+
+    def test_provider_cannot_hide_the_counters_section(self):
+        """A provider named ``counters`` must not replace the registry's
+        own counters in the export; it gets a suffix like any collision."""
+        registry = MetricsRegistry()
+        registry.counter("lint.rejected").inc(2)
+        actual = registry.register_provider("counters", lambda: {"n": 1},
+                                            weak=False)
+        assert actual == "counters-2"
+        snap = registry.snapshot()
+        assert snap["counters"] == {"lint.rejected": 2}
+        assert snap["counters-2"] == {"n": 1}
 
     def test_dead_bound_method_provider_is_pruned(self):
         class Owner:

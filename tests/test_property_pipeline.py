@@ -4,7 +4,8 @@ golden reference for random workloads and layouts."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.pipeline import compile_stencil, run_stencil
+from repro.core.pipeline import compile_stencil
+from repro.session import StencilSession
 from repro.stencils.grid import Grid
 from repro.stencils.pattern import StencilPattern
 from repro.stencils.reference import run_stencil_iterations
@@ -26,7 +27,8 @@ class TestPipelineProperty:
         data = np.random.default_rng(seed).random((rows, cols))
         grid = Grid(data=data, dtype=np.float16)
         compiled = compile_stencil(pattern, (rows, cols))
-        result = run_stencil(compiled, grid, iterations)
+        with StencilSession() as session:
+            result = session.run(compiled, grid, iterations).result
         reference = run_stencil_iterations(pattern, grid, iterations)
         assert np.max(np.abs(result.output - reference)) < 5e-3
 
@@ -39,6 +41,7 @@ class TestPipelineProperty:
         data = np.random.default_rng(seed).random((36, 36))
         grid = Grid(data=data, dtype=np.float16)
         compiled = compile_stencil(pattern, (36, 36), search=False, r1=r1, r2=r2)
-        result = run_stencil(compiled, grid, 2)
+        with StencilSession() as session:
+            result = session.run(compiled, grid, 2).result
         reference = run_stencil_iterations(pattern, grid, 2)
         assert np.max(np.abs(result.output - reference)) < 5e-3

@@ -82,7 +82,7 @@ def current_api_surface():
 
 class TestExports:
     def test_version(self):
-        assert repro.__version__ == "1.2.0"
+        assert repro.__version__ == "2.0.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
@@ -93,12 +93,6 @@ class TestExports:
                      "search_layout", "convert_to_24", "get_baseline",
                      "compare_methods", "Problem", "SolvePolicy", "Solution",
                      "StencilSession", "SessionConfig", "default_session"):
-            assert name in repro.__all__
-
-    def test_legacy_shims_still_exported(self):
-        # the deprecated entry points stay importable until removal
-        for name in ("run_stencil", "sparstencil_solve", "solve_many",
-                     "solve_sharded", "SolveRequest"):
             assert name in repro.__all__
 
 
@@ -147,17 +141,6 @@ class TestQuickstartFlow:
         assert solution.provenance.executor == "single"
         reference = repro.run_stencil_iterations(heat, grid, 4)
         assert np.max(np.abs(solution.output - reference)) < 5e-3
-
-    def test_legacy_quickstart_still_works(self):
-        """The pre-session flow: deprecated but bit-identical."""
-        heat = repro.StencilPattern.star(2, 1, weights=[0.6, 0.1, 0.1, 0.1, 0.1])
-        grid = repro.make_grid((64, 64), kind="gaussian")
-        compiled = repro.compile_stencil(heat, grid.shape)
-        with pytest.warns(DeprecationWarning):
-            result = repro.run_stencil(compiled, grid, iterations=4)
-        with repro.StencilSession() as session:
-            solution = session.run(compiled, grid, 4)
-        assert np.array_equal(result.output, solution.output)
 
     def test_inspect_generated_kernel(self):
         heat = repro.StencilPattern.star(2, 1)

@@ -1,7 +1,7 @@
 """StencilServer end-to-end tests: the ISSUE acceptance criteria.
 
 * concurrent submissions with duplicated fingerprints are bit-identical to
-  sequential ``sparstencil_solve`` calls, with coalescing ratio > 1 and
+  sequential single-device session solves, with coalescing ratio > 1 and
   exactly one compile per distinct fingerprint;
 * the scheduler routes large grids sharded and small grids single under one
   pool, with occupancy never exceeding the pool;
@@ -18,12 +18,12 @@ import pytest
 
 from repro import (
     DeadlineExceededError,
+    Problem,
     QueueFullError,
     ServerClosedError,
     ServerConfig,
     StencilServer,
     make_grid,
-    sparstencil_solve,
 )
 from repro.service import CompileCache
 from repro.stencils.pattern import StencilPattern
@@ -44,11 +44,18 @@ def serving_workload():
     return requests
 
 
+def solve_alone(session, pattern, grid, iterations, **options):
+    """One sequential, uncached single-device solve."""
+    return session.solve(Problem(pattern, grid, iterations, options=options),
+                         mode="single", cache=None)
+
+
 class TestEndToEnd:
-    def test_concurrent_submissions_bit_identical_with_coalescing(self):
+    def test_concurrent_submissions_bit_identical_with_coalescing(self,
+                                                                  session):
         """The headline acceptance test."""
         requests = serving_workload()
-        expected = [sparstencil_solve(p, g, it)[1].output
+        expected = [solve_alone(session, p, g, it).output
                     for p, g, it, _ in requests]
         cache = CompileCache()
         results = [None] * len(requests)
@@ -62,7 +69,8 @@ class TestEndToEnd:
                 pattern, grid, iterations, tag = requests[i]
                 barrier.wait()  # all submissions land concurrently
                 try:
-                    handle = server.submit(pattern, grid, iterations, tag=tag)
+                    handle = server.submit_problem(
+                        Problem(pattern, grid, iterations, tag=tag))
                     results[i] = handle.result(timeout=120)
                 except Exception as exc:  # pragma: no cover - diagnostic
                     errors.append((i, exc))
@@ -94,15 +102,16 @@ class TestEndToEnd:
         assert metrics["completed"] == len(requests)
         assert metrics["failed"] == 0
 
-    def test_routing_under_one_pool_with_occupancy_bound(self):
+    def test_routing_under_one_pool_with_occupancy_bound(self, session):
         heat = StencilPattern.star(2, 1, weights=[0.6, 0.1, 0.1, 0.1, 0.1],
                                    name="heat-2d")
         big_grid = make_grid((2048, 2048), seed=1)
         small_grid = make_grid((64, 64), seed=2)
         with StencilServer(devices=4,
                            config=ServerConfig(window_seconds=0.01)) as server:
-            big = server.submit(heat, big_grid, 2, tag="big")
-            small = server.submit(heat, small_grid, 2, tag="small")
+            big = server.submit_problem(Problem(heat, big_grid, 2, tag="big"))
+            small = server.submit_problem(
+                Problem(heat, small_grid, 2, tag="small"))
             big_result = big.result(timeout=300)
             small_result = small.result(timeout=300)
             metrics = server.metrics()
@@ -116,7 +125,7 @@ class TestEndToEnd:
         assert metrics["devices"]["peak_in_use"] <= 4
         assert metrics["devices"]["in_use"] == 0
         # the sharded run is still bit-identical to the direct solve
-        _, expected = sparstencil_solve(heat, big_grid, 2)
+        expected = solve_alone(session, heat, big_grid, 2)
         assert np.array_equal(big_result.output, expected.output)
 
     def test_backpressure_rejects_typed_and_drops_nothing(self, heat2d):
@@ -128,8 +137,8 @@ class TestEndToEnd:
             handles, rejections = [], []
             for i in range(10):
                 try:
-                    handles.append(server.submit(
-                        heat2d, make_grid((40, 44), seed=i), 2, tag=str(i)))
+                    handles.append(server.submit_problem(Problem(
+                        heat2d, make_grid((40, 44), seed=i), 2, tag=str(i))))
                 except QueueFullError as exc:
                     rejections.append(exc)
             assert rejections, "queue bound never triggered"
@@ -150,9 +159,11 @@ class TestEndToEnd:
         config = ServerConfig(max_batch_size=1, window_seconds=0.0)
         with StencilServer(devices=1, config=config) as server:
             lease = server.scheduler.ledger.acquire(1)
-            alive = server.submit(heat2d, make_grid((40, 44), seed=0), 2)
-            doomed = server.submit(heat2d, make_grid((40, 44), seed=1), 2,
-                                   deadline_seconds=0.05)
+            alive = server.submit_problem(
+                Problem(heat2d, make_grid((40, 44), seed=0), 2))
+            doomed = server.submit_problem(
+                Problem(heat2d, make_grid((40, 44), seed=1), 2),
+                deadline_seconds=0.05)
             threading.Event().wait(0.2)  # let the deadline lapse while held
             server.scheduler.ledger.release(lease)
             assert alive.result(timeout=120).output is not None
@@ -167,14 +178,16 @@ class TestEndToEnd:
     def test_dead_on_arrival_deadline_rejected_at_submit(self, heat2d):
         with StencilServer(devices=1) as server:
             with pytest.raises(DeadlineExceededError):
-                server.submit(heat2d, make_grid((40, 44), seed=0), 2,
-                              deadline_seconds=-1.0)
+                server.submit_problem(
+                    Problem(heat2d, make_grid((40, 44), seed=0), 2),
+                    deadline_seconds=-1.0)
 
     def test_shutdown_without_drain_fails_queued_typed(self, heat2d):
         config = ServerConfig(max_batch_size=1, window_seconds=0.0)
         server = StencilServer(devices=1, config=config)
         lease = server.scheduler.ledger.acquire(1)
-        handles = [server.submit(heat2d, make_grid((40, 44), seed=i), 2)
+        handles = [server.submit_problem(
+                       Problem(heat2d, make_grid((40, 44), seed=i), 2))
                    for i in range(4)]
         server.shutdown(drain=False)
         server.scheduler.ledger.release(lease)
@@ -188,31 +201,35 @@ class TestEndToEnd:
         # and every handle resolved one way or the other — nothing hangs
         assert "closed" in outcomes
         with pytest.raises(ServerClosedError):
-            server.submit(heat2d, make_grid((40, 44), seed=9), 2)
+            server.submit_problem(
+                Problem(heat2d, make_grid((40, 44), seed=9), 2))
 
     def test_shutdown_is_idempotent_and_drain_empties(self, heat2d):
         server = StencilServer(devices=1)
-        handle = server.submit(heat2d, make_grid((40, 44), seed=0), 2)
+        handle = server.submit_problem(
+            Problem(heat2d, make_grid((40, 44), seed=0), 2))
         server.drain()
         assert handle.done()
         assert server.pending == 0
         server.shutdown()
         server.shutdown()  # second call is a no-op
 
-    def test_compile_options_flow_through_submit(self, heat2d):
+    def test_compile_options_flow_through_submit(self, session, heat2d):
         from repro.tcu.spec import DataType
         with StencilServer(devices=1) as server:
-            handle = server.submit(heat2d, make_grid((40, 44), seed=0), 2,
-                                   dtype=DataType.TF32)
+            handle = server.submit_problem(
+                Problem(heat2d, make_grid((40, 44), seed=0), 2,
+                        options={"dtype": DataType.TF32}))
             result = handle.result(timeout=120)
-        _, expected = sparstencil_solve(heat2d, make_grid((40, 44), seed=0),
-                                        2, dtype=DataType.TF32)
+        expected = solve_alone(session, heat2d, make_grid((40, 44), seed=0),
+                               2, dtype=DataType.TF32)
         assert np.array_equal(result.output, expected.output)
 
     def test_metrics_snapshot_is_plain_data(self, heat2d):
         import json
         with StencilServer(devices=1) as server:
-            server.submit(heat2d, make_grid((40, 44), seed=0), 2).result(120)
+            server.submit_problem(
+                Problem(heat2d, make_grid((40, 44), seed=0), 2)).result(120)
             metrics = server.metrics()
         # exported as a plain dict: must survive JSON round-tripping
         restored = json.loads(json.dumps(metrics))

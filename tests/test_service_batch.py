@@ -1,5 +1,8 @@
 """Batched solve service tests: output equivalence with sequential uncached
-solves and compile-once-per-fingerprint guarantees."""
+solves and compile-once-per-fingerprint guarantees.
+
+Batches go through ``StencilSession.solve_batch(problems, cache=None)``, which
+compiles through a private per-batch cache unless a cache is passed."""
 
 from __future__ import annotations
 
@@ -9,13 +12,8 @@ import numpy as np
 import pytest
 
 import repro.core.pipeline
-from repro.core.pipeline import sparstencil_solve
-from repro.service import (
-    CompileCache,
-    SolveRequest,
-    run_stencil_batch,
-    solve_many,
-)
+from repro.service import CompileCache
+from repro.session import Problem
 from repro.stencils.grid import make_grid
 from repro.stencils.pattern import StencilPattern
 from repro.tcu.spec import DataType
@@ -33,32 +31,36 @@ def mixed_requests():
                                  name="heat-2d")
     box2d = StencilPattern.box(2, 1, name="box-2d9p")
     return [
-        SolveRequest(heat1d, make_grid((256,), seed=0), 2, tag="a"),
-        SolveRequest(heat2d, make_grid((40, 44), seed=1), 2, tag="b"),
-        SolveRequest(heat2d, make_grid((40, 44), seed=2), 3, tag="c"),
-        SolveRequest(box2d, make_grid((40, 44), seed=3), 2, tag="d"),
-        SolveRequest(heat1d, make_grid((256,), seed=4), 4, tag="e"),
-        SolveRequest(box2d, make_grid((40, 44), seed=5), 2,
-                     options={"dtype": DataType.TF32}, tag="f"),
-        SolveRequest(heat2d, make_grid((40, 44), seed=6), 2, tag="g"),
-        SolveRequest(box2d, make_grid((40, 44), seed=7), 2, tag="h"),
+        Problem(heat1d, make_grid((256,), seed=0), 2, tag="a"),
+        Problem(heat2d, make_grid((40, 44), seed=1), 2, tag="b"),
+        Problem(heat2d, make_grid((40, 44), seed=2), 3, tag="c"),
+        Problem(box2d, make_grid((40, 44), seed=3), 2, tag="d"),
+        Problem(heat1d, make_grid((256,), seed=4), 4, tag="e"),
+        Problem(box2d, make_grid((40, 44), seed=5), 2,
+                options={"dtype": DataType.TF32}, tag="f"),
+        Problem(heat2d, make_grid((40, 44), seed=6), 2, tag="g"),
+        Problem(box2d, make_grid((40, 44), seed=7), 2, tag="h"),
     ]
 
 
+def solve_alone(session, problem):
+    """One sequential, uncached single-device solve of ``problem``."""
+    return session.solve(problem, mode="single", cache=None).result
+
+
 class TestSolveMany:
-    def test_matches_sequential_uncached_solves(self):
+    def test_matches_sequential_uncached_solves(self, session):
         requests = mixed_requests()
-        report = solve_many(requests)
+        report = session.solve_batch(requests, cache=None)
         assert len(report.items) == len(requests)
         for request, item in zip(requests, report.items):
-            _, expected = sparstencil_solve(
-                request.pattern, request.grid, request.iterations,
-                **request.options)
+            expected = solve_alone(session, request)
             assert np.array_equal(item.result.output, expected.output), request.tag
             assert item.result.elapsed_seconds == expected.elapsed_seconds
             assert item.request is request
 
-    def test_compiles_each_distinct_fingerprint_exactly_once(self, monkeypatch):
+    def test_compiles_each_distinct_fingerprint_exactly_once(self, session,
+                                                             monkeypatch):
         requests = mixed_requests()
         lock = threading.Lock()
         searches = []
@@ -70,19 +72,19 @@ class TestSolveMany:
             return original(pattern, grid_shape, **kwargs)
 
         monkeypatch.setattr(repro.core.pipeline, "search_layout", counting_search)
-        report = solve_many(requests)
+        report = session.solve_batch(requests, cache=None)
         distinct = {req.compile_request().fingerprint for req in requests}
         assert report.distinct_plans == len(distinct) == 4
         assert report.compiles_performed == len(distinct)
         assert len(searches) == len(distinct)
 
-    def test_warm_cache_compiles_nothing(self):
+    def test_warm_cache_compiles_nothing(self, session):
         requests = mixed_requests()
         cache = CompileCache()
-        first = solve_many(requests, cache=cache)
+        first = session.solve_batch(requests, cache=cache)
         assert first.compiles_performed == 4
         assert first.cache_hit_rate == 0.0
-        second = solve_many(requests, cache=cache)
+        second = session.solve_batch(requests, cache=cache)
         assert second.compiles_performed == 0
         assert second.cache_hits == 4
         # per-batch attribution: the warm batch reports 100% reuse even
@@ -93,29 +95,30 @@ class TestSolveMany:
         for a, b in zip(first.items, second.items):
             assert np.array_equal(a.result.output, b.result.output)
 
-    def test_items_keep_their_own_pattern_identity(self):
+    def test_items_keep_their_own_pattern_identity(self, session):
         alpha = StencilPattern.star(2, 1, name="alpha")
         beta = StencilPattern.star(2, 1, name="beta")  # same taps, new name
-        report = solve_many([
-            SolveRequest(alpha, make_grid((40, 44), seed=0), 2),
-            SolveRequest(beta, make_grid((40, 44), seed=1), 2),
-        ])
+        report = session.solve_batch([
+            Problem(alpha, make_grid((40, 44), seed=0), 2),
+            Problem(beta, make_grid((40, 44), seed=1), 2),
+        ], cache=None)
         assert report.distinct_plans == 1
         names = [item.compiled.original_pattern.name for item in report.items]
         assert names == ["alpha", "beta"]
 
-    def test_report_stats_are_a_snapshot(self):
+    def test_report_stats_are_a_snapshot(self, session):
         requests = mixed_requests()
         cache = CompileCache()
-        first = solve_many(requests, cache=cache)
+        first = session.solve_batch(requests, cache=cache)
         hit_rate_then = first.cache_stats.hit_rate
-        solve_many(requests, cache=cache)  # warm reuse mutates the live stats
+        # warm reuse mutates the live stats
+        session.solve_batch(requests, cache=cache)
         assert first.cache_stats.hit_rate == hit_rate_then
         assert first.cache_stats is not cache.stats
 
-    def test_shared_plan_flag_and_order(self):
+    def test_shared_plan_flag_and_order(self, session):
         requests = mixed_requests()
-        report = solve_many(requests)
+        report = session.solve_batch(requests, cache=None)
         by_tag = {item.tag: item for item in report.items}
         assert [item.tag for item in report.items] == list("abcdefgh")
         # heat2d (b, c, g) and heat1d (a, e) and fp16-box (d, h) share plans;
@@ -126,8 +129,8 @@ class TestSolveMany:
         assert not by_tag["f"].shared_plan
         assert by_tag["f"].compiled.plan.dtype == DataType.TF32
 
-    def test_aggregate_metrics(self):
-        report = solve_many(mixed_requests())
+    def test_aggregate_metrics(self, session):
+        report = session.solve_batch(mixed_requests(), cache=None)
         summary = report.summary()
         assert summary["requests"] == 8
         assert summary["distinct_plans"] == 4
@@ -137,27 +140,27 @@ class TestSolveMany:
             report.compile_wall_seconds / 8)
         assert summary["compiles_performed"] == 4
 
-    def test_serial_worker_path(self, monkeypatch):
-        report = solve_many(mixed_requests(), max_workers=1)
+    def test_serial_worker_path(self, session, monkeypatch):
+        report = session.solve_batch(mixed_requests(), max_workers=1,
+                                     cache=None)
         assert report.distinct_plans == 4
         assert report.compiles_performed == 4
 
-    def test_single_request_batch(self):
+    def test_single_request_batch(self, session):
         request = mixed_requests()[0]
-        report = solve_many([request])
-        _, expected = sparstencil_solve(
-            request.pattern, request.grid, request.iterations)
+        report = session.solve_batch([request], cache=None)
+        expected = solve_alone(session, request)
         assert np.array_equal(report.items[0].result.output, expected.output)
 
-    def test_empty_batch_rejected(self):
+    def test_empty_batch_rejected(self, session):
         with pytest.raises(Exception):
-            solve_many([])
+            session.solve_batch([], cache=None)
 
 
 class TestTagPropagation:
-    def test_tags_flow_into_batch_items_and_results(self):
+    def test_tags_flow_into_batch_items_and_results(self, session):
         requests = mixed_requests()
-        report = solve_many(requests)
+        report = session.solve_batch(requests, cache=None)
         for request, item in zip(requests, report.items):
             assert item.tag == request.tag
             # the tag is stamped onto the run result itself, so it survives
@@ -166,19 +169,20 @@ class TestTagPropagation:
         assert set(report.by_tag()) == set("abcdefgh")
         assert report.by_tag()["c"].request.iterations == 3
 
-    def test_untagged_requests_stay_untagged(self, heat2d):
-        report = solve_many([SolveRequest(heat2d, make_grid((40, 44), seed=0),
-                                          2)])
+    def test_untagged_requests_stay_untagged(self, session, heat2d):
+        report = session.solve_batch(
+            [Problem(heat2d, make_grid((40, 44), seed=0), 2)], cache=None)
         assert report.items[0].tag is None
         assert report.items[0].result.tag is None
         assert report.by_tag() == {}
 
-    def test_solve_sharded_tag_propagates(self, heat2d):
-        from repro.service import solve_sharded
+    def test_solve_sharded_tag_propagates(self, session, heat2d):
         grid = make_grid((64, 64), seed=3)
-        _, tagged = solve_sharded(heat2d, grid, 2, devices=2, tag="east-rack")
+        tagged = session.solve(Problem(heat2d, grid, 2, tag="east-rack"),
+                               mode="sharded", devices=2, cache=None).result
         assert tagged.tag == "east-rack"
-        _, untagged = solve_sharded(heat2d, grid, 2, devices=2)
+        untagged = session.solve(Problem(heat2d, grid, 2), mode="sharded",
+                                 devices=2, cache=None).result
         assert untagged.tag is None
         # the stamp changes attribution only, never the numbers
         assert np.array_equal(tagged.output, untagged.output)
@@ -186,9 +190,9 @@ class TestTagPropagation:
 
 
 class TestRunStencilBatch:
-    def test_returns_results_in_request_order(self):
+    def test_returns_results_in_request_order(self, session):
         requests = mixed_requests()
-        results = run_stencil_batch(requests)
+        results = session.solve_batch(requests, cache=None).results
         assert len(results) == len(requests)
         for request, result in zip(requests, results):
             assert result.output.shape == request.grid.shape

@@ -12,8 +12,9 @@ import repro.core.conversion
 import repro.core.layout_search
 import repro.core.morphing
 import repro.core.pipeline
-from repro.core.pipeline import compile_stencil, run_stencil, sparstencil_solve
+from repro.core.pipeline import compile_stencil
 from repro.service import CompileCache, CompileRequest, compile_fingerprint, pattern_fingerprint
+from repro.session import Problem
 from repro.stencils.grid import make_grid
 from repro.stencils.pattern import StencilPattern
 from repro.tcu.spec import A100_SPEC, DataType
@@ -134,22 +135,25 @@ class TestCompileCache:
         cache.get_or_compile(b)          # recompiles
         assert cache.stats.misses == misses + 1
 
-    def test_cached_solve_bit_identical_to_uncached(self, heat2d, small_grid_2d):
+    def test_cached_solve_bit_identical_to_uncached(self, session, heat2d,
+                                                    small_grid_2d):
         cache = CompileCache()
         # warm the cache, then solve through it
         cache.compile(heat2d, small_grid_2d.shape)
-        _, cached = sparstencil_solve(heat2d, small_grid_2d, 3, cache=cache)
-        _, uncached = sparstencil_solve(heat2d, small_grid_2d, 3)
+        problem = Problem(heat2d, small_grid_2d, 3)
+        cached = session.solve(problem, mode="single", cache=cache).result
+        uncached = session.solve(problem, mode="single", cache=None).result
         assert np.array_equal(cached.output, uncached.output)
         assert cached.elapsed_seconds == uncached.elapsed_seconds
         assert cached.sweeps == uncached.sweeps
 
-    def test_warm_solve_skips_all_compile_stages(self, heat2d, small_grid_2d,
-                                                 monkeypatch):
+    def test_warm_solve_skips_all_compile_stages(self, session, heat2d,
+                                                 small_grid_2d, monkeypatch):
         """Acceptance: a warm-cache solve runs neither morphing, conversion
         nor layout search, and spends zero stage-timer compile seconds."""
         cache = CompileCache()
-        sparstencil_solve(heat2d, small_grid_2d, 2, cache=cache)
+        problem = Problem(heat2d, small_grid_2d, 2)
+        session.solve(problem, mode="single", cache=cache)
         compile_seconds_cold = cache.stats.compile_seconds
         assert compile_seconds_cold > 0.0
 
@@ -171,14 +175,14 @@ class TestCompileCache:
             repro.core.conversion, "convert_to_24",
             counting(repro.core.conversion.convert_to_24, "convert"))
 
-        _, warm = sparstencil_solve(heat2d, small_grid_2d, 2, cache=cache)
+        warm = session.solve(problem, mode="single", cache=cache).result
         assert calls == {"search": 0, "morph": 0, "convert": 0}
         # stage-timer assertion: no additional compile wall time was spent
         assert cache.stats.compile_seconds == compile_seconds_cold
         assert cache.stats.hits == 1
         assert warm.output.shape == small_grid_2d.shape
 
-    def test_hit_carries_the_requesters_pattern_identity(self, heat2d,
+    def test_hit_carries_the_requesters_pattern_identity(self, session, heat2d,
                                                          small_grid_2d):
         cache = CompileCache()
         cache.compile(heat2d, small_grid_2d.shape)
@@ -195,42 +199,8 @@ class TestCompileCache:
         original = cache.compile(heat2d, small_grid_2d.shape)
         assert hit.plan.a_operand is original.plan.a_operand
         assert np.array_equal(
-            run_stencil(hit, small_grid_2d, 2).output,
-            run_stencil(original, small_grid_2d, 2).output)
-
-    def test_compiler_facade_keeps_explicit_empty_cache(self, heat2d):
-        from repro.core.pipeline import SparStencilCompiler
-        cache = CompileCache()
-        compiler = SparStencilCompiler(cache=cache)  # empty cache is falsy!
-        assert compiler.cache is cache
-        compiler.compile(heat2d, (40, 44))
-        compiler.compile(heat2d, (40, 44))
-        assert cache.stats.hits == 1
-        auto = SparStencilCompiler(cache=True)
-        assert isinstance(auto.cache, CompileCache)
-        off = SparStencilCompiler(cache=False)
-        assert off.cache is None
-
-    def test_solve_accepts_cache_true_per_call(self, heat2d, small_grid_2d):
-        from repro.core.pipeline import SparStencilCompiler
-        compiler = SparStencilCompiler()
-        compiled, result = compiler.solve(heat2d, small_grid_2d, 2, cache=True)
-        assert result.output.shape == small_grid_2d.shape
-        # per-call True promotes to a compiler-owned cache, so a second call
-        # actually memoises instead of building a throwaway cache
-        again, _ = compiler.solve(heat2d, small_grid_2d, 2, cache=True)
-        assert compiler.cache is not None
-        assert compiler.cache.stats.hits == 1
-
-    def test_compile_accepts_per_call_cache_override(self, heat2d):
-        from repro.core.pipeline import SparStencilCompiler
-        session = CompileCache()
-        compiler = SparStencilCompiler(cache=session)
-        compiler.compile(heat2d, (40, 44), cache=False)  # bypass
-        assert len(session) == 0
-        override = CompileCache()
-        compiler.compile(heat2d, (40, 44), cache=override)
-        assert len(override) == 1 and len(session) == 0
+            session.run(hit, small_grid_2d, 2).output,
+            session.run(original, small_grid_2d, 2).output)
 
     def test_warm_lookup_does_not_refuse_the_pattern(self, box2d49p,
                                                      monkeypatch):
@@ -307,7 +277,7 @@ class TestRebrandHelper:
 
 
 class TestPersistence:
-    def test_disk_round_trip(self, heat2d, small_grid_2d, tmp_path):
+    def test_disk_round_trip(self, session, heat2d, small_grid_2d, tmp_path):
         warm_dir = tmp_path / "plans"
         first = CompileCache(persist_dir=warm_dir)
         compiled = first.compile(heat2d, small_grid_2d.shape)
@@ -329,8 +299,8 @@ class TestPersistence:
         assert second.stats.saved_seconds == pytest.approx(
             2 * first.stats.compile_seconds)
         assert np.array_equal(reloaded.plan.a_operand, compiled.plan.a_operand)
-        result = run_stencil(reloaded, small_grid_2d, 2)
-        expected = run_stencil(compiled, small_grid_2d, 2)
+        result = session.run(reloaded, small_grid_2d, 2)
+        expected = session.run(compiled, small_grid_2d, 2)
         assert np.array_equal(result.output, expected.output)
 
     def test_unpicklable_plan_does_not_fail_the_solve(self, tmp_path):
@@ -340,16 +310,6 @@ class TestPersistence:
         compiled = cache.compile(pattern, (40, 44))  # must not raise
         assert compiled is not None
         assert not list((tmp_path / "plans").glob("*.tmp"))
-
-    def test_per_call_cache_override_on_compiler_facade(self, heat2d,
-                                                        small_grid_2d):
-        from repro.core.pipeline import SparStencilCompiler
-        override = CompileCache()
-        compiler = SparStencilCompiler()  # no session cache
-        compiler.solve(heat2d, small_grid_2d, 2, cache=override)
-        assert override.stats.misses == 1
-        compiler.solve(heat2d, small_grid_2d, 2, cache=override)
-        assert override.stats.hits == 1
 
     def test_clear_can_remove_persisted_plans(self, heat2d, tmp_path):
         warm_dir = tmp_path / "plans"

@@ -1,18 +1,15 @@
 """Session-layer tests: the typed Problem→Solution front door.
 
-Covers the PR-4 acceptance criteria:
+Covers:
 
-* every legacy entry point (``run_stencil``, ``sparstencil_solve``,
-  ``solve_many``, ``solve_sharded``, ``StencilServer.submit``) emits a
-  ``DeprecationWarning`` and returns results bit-identical to the session
-  path it delegates to;
 * ``StencilSession.solve`` reproduces the golden fixtures across modes
   ``single``, ``sharded`` and ``auto``;
 * ``mode="auto"`` demonstrably routes a large catalog problem to sharded
   execution and a small one to the single-device engine;
 * tags propagate into :class:`Solution` and ``BatchReport.by_tag``;
 * the executor registry is open for custom modes and the telemetry sink
-  sees one event per solve.
+  sees one event per solve;
+* no execution mode emits a ``DeprecationWarning``.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from repro import (
     get_benchmark,
     make_grid,
 )
-from repro.service import CompileCache, SolveRequest
+from repro.service import CompileCache
 from repro.session.registry import SessionExecutor, default_registry
 from repro.session.problem import Provenance
 from repro.util.validation import ValidationError
@@ -79,85 +76,6 @@ class TestVocabulary:
     def test_unknown_mode_raises_at_solve(self, session, heat2d, small_grid_2d):
         with pytest.raises(ValidationError, match="unknown solve mode"):
             session.solve(Problem(heat2d, small_grid_2d, 2), mode="warp-drive")
-
-    def test_solverequest_alias_warns_and_is_a_problem(self, heat2d,
-                                                       small_grid_2d):
-        with pytest.warns(DeprecationWarning, match="SolveRequest"):
-            request = SolveRequest(heat2d, small_grid_2d, 2, tag="alias")
-        assert isinstance(request, Problem)
-        assert request.tag == "alias"
-        assert request.compile_request().fingerprint == Problem(
-            heat2d, small_grid_2d, 2).compile_request().fingerprint
-
-
-class TestLegacyShims:
-    """Each legacy entry point warns and stays bit-identical to the session."""
-
-    def test_run_stencil_shim(self, session, heat2d, small_grid_2d):
-        compiled = compile_stencil(heat2d, small_grid_2d.shape)
-        with pytest.warns(DeprecationWarning, match="run_stencil"):
-            legacy = repro.run_stencil(compiled, small_grid_2d, 3)
-        solution = session.run(compiled, small_grid_2d, 3)
-        assert np.array_equal(legacy.output, solution.output)
-        assert solution.provenance.executor == "single"
-
-    def test_sparstencil_solve_shim(self, session, heat2d, small_grid_2d):
-        with pytest.warns(DeprecationWarning, match="sparstencil_solve"):
-            compiled, legacy = repro.sparstencil_solve(heat2d, small_grid_2d, 3)
-        solution = session.solve(Problem(heat2d, small_grid_2d, 3),
-                                 mode="single")
-        assert np.array_equal(legacy.output, solution.output)
-        assert compiled.grid_shape == solution.compiled.grid_shape
-
-    def test_solve_many_shim(self, session, heat2d, box2d9p):
-        problems = [Problem(heat2d, make_grid((48, 48), seed=i), 2, tag=f"h{i}")
-                    for i in range(3)]
-        problems += [Problem(box2d9p, make_grid((48, 48), seed=9), 2, tag="b0")]
-        with pytest.warns(DeprecationWarning, match="solve_many"):
-            legacy = repro.solve_many(problems)
-        report = session.solve_batch(problems)
-        for old, new in zip(legacy.items, report.items):
-            assert np.array_equal(old.result.output, new.result.output)
-            assert old.tag == new.tag
-        assert legacy.distinct_plans == report.distinct_plans == 2
-
-    def test_solve_sharded_shim(self, session, heat1d):
-        grid = make_grid((2048,), kind="random", seed=2026)
-        with pytest.warns(DeprecationWarning, match="solve_sharded"):
-            _, legacy = repro.solve_sharded(heat1d, grid, 4, devices=2)
-        solution = session.solve(Problem(heat1d, grid, 4),
-                                 SolvePolicy(mode="sharded", devices=2))
-        assert np.array_equal(legacy.output, solution.output)
-        assert legacy.shard_grid == solution.result.shard_grid
-        assert solution.provenance.executor == "sharded"
-
-    def test_server_submit_shim(self, heat2d):
-        grid = make_grid((48, 48), seed=5)
-        with repro.StencilServer(devices=1) as server:
-            with pytest.warns(DeprecationWarning,
-                              match="StencilServer.submit"):
-                legacy = server.submit(heat2d, grid, 2, tag="old").result(
-                    timeout=60)
-            direct = server.submit_problem(
-                Problem(heat2d, grid, 2, tag="new")).result(timeout=60)
-        assert np.array_equal(legacy.output, direct.output)
-        assert legacy.tag == "old" and direct.tag == "new"
-
-    def test_run_stencil_batch_shim(self, session, heat2d):
-        problems = [Problem(heat2d, make_grid((48, 48), seed=i), 2)
-                    for i in range(2)]
-        with pytest.warns(DeprecationWarning, match="run_stencil_batch"):
-            legacy = repro.run_stencil_batch(problems)
-        report = session.solve_batch(problems)
-        for old, new in zip(legacy, report.results):
-            assert np.array_equal(old.output, new.output)
-
-    def test_submit_request_alias_warns(self, heat2d):
-        grid = make_grid((48, 48), seed=5)
-        with repro.StencilServer(devices=1) as server:
-            with pytest.warns(DeprecationWarning, match="submit_request"):
-                handle = server.submit_request(Problem(heat2d, grid, 2))
-            assert handle.result(timeout=60).output.shape == (48, 48)
 
 
 @pytest.mark.parametrize("name,grid_shape,iterations,seed", GOLDEN_CASES,
@@ -273,7 +191,7 @@ class TestTagsAndBatch:
         assert report.compiles_performed == 1
         again = session.solve_batch(problems)
         assert again.compiles_performed == 0  # warm across batches
-        # cache=None reproduces the legacy private per-batch cache
+        # cache=None compiles through a private per-batch cache
         private = session.solve_batch(problems, cache=None)
         assert private.compiles_performed == 1
 
@@ -411,9 +329,9 @@ class TestTelemetryAndRegistry:
 
 
 class TestNoInternalShimUsage:
-    """The package must never call its own deprecated shims: running a
-    representative all-modes workload under ``error::DeprecationWarning``
-    must stay silent (the CI strict step runs the whole suite this way)."""
+    """Running a representative all-modes workload under
+    ``error::DeprecationWarning`` must stay silent: no mode may lean on a
+    deprecated API of the package or of numpy/scipy."""
 
     def test_all_modes_are_warning_free(self, heat2d):
         grid = make_grid((48, 48), seed=11)

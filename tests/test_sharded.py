@@ -10,12 +10,18 @@ import numpy as np
 import pytest
 from golden.generate_golden import CASES as GOLDEN_CASES, fixture_path
 
-from repro import compile_stencil, get_benchmark, make_grid, run_stencil
+from repro import (
+    Problem,
+    StencilSession,
+    compile_stencil,
+    get_benchmark,
+    make_grid,
+)
 from repro.analysis import (deep_halo_tradeoff, per_shard_utilization,
                             sharded_scaling)
 from repro.engine import ShardedExecutor, SweepExecutor
 from repro.engine.sharded import model_round, model_schedule
-from repro.service import CompileCache, solve_sharded
+from repro.service import CompileCache
 from repro.stencils.pattern import StencilPattern
 from repro.tcu.spec import MultiDeviceSpec, multi_a100
 from repro.util.validation import ValidationError
@@ -36,12 +42,12 @@ def workload(name, grid_shape, seed, boundary="dirichlet"):
                          ids=[f"{c[0]}-{c[4]}" for c in CASES])
 @pytest.mark.parametrize("devices", [1, 2, 4])
 class TestShardedEquivalence:
-    def test_bit_identical_to_single_device(self, name, grid_shape,
+    def test_bit_identical_to_single_device(self, session, name, grid_shape,
                                             iterations, seed, boundary,
                                             devices):
         pattern, grid = workload(name, grid_shape, seed, boundary)
         compiled = compile_stencil(pattern, grid_shape, boundary=boundary)
-        single = run_stencil(compiled, grid, iterations)
+        single = session.run(compiled, grid, iterations).result
         sharded = ShardedExecutor(devices).execute(compiled, grid, iterations)
         assert np.array_equal(single.output, sharded.output)
 
@@ -62,7 +68,7 @@ class TestShardedExecutor:
     def test_is_a_sweep_executor(self):
         assert isinstance(ShardedExecutor(2), SweepExecutor)
 
-    def test_one_shard_degenerates_to_single_device(self, heat2d):
+    def test_one_shard_degenerates_to_single_device(self, session, heat2d):
         compiled = compile_stencil(heat2d, (64, 64))
         grid = make_grid((64, 64), seed=3)
         result = ShardedExecutor(1).execute(compiled, grid, 2)
@@ -70,7 +76,7 @@ class TestShardedExecutor:
         assert result.halo_exchange_bytes == 0.0
         assert result.halo_exchange_seconds == 0.0
         assert result.halo_traffic_fraction == 0.0
-        single = run_stencil(compiled, grid, 2)
+        single = session.run(compiled, grid, 2).result
         assert np.array_equal(result.output, single.output)
 
     def test_equal_shaped_shards_share_one_fingerprint(self, heat2d):
@@ -84,14 +90,14 @@ class TestShardedExecutor:
         assert cache.stats.misses == len(shapes)
         assert cache.stats.misses < partition.n_shards or len(shapes) == 4
 
-    def test_explicit_shard_grid(self, heat2d):
+    def test_explicit_shard_grid(self, session, heat2d):
         compiled = compile_stencil(heat2d, (64, 64))
         grid = make_grid((64, 64), seed=3)
         result = ShardedExecutor(4, shard_grid=(4, 1)).execute(
             compiled, grid, 2)
         assert result.shard_grid == (4, 1)
         assert np.array_equal(result.output,
-                              run_stencil(compiled, grid, 2).output)
+                              session.run(compiled, grid, 2).output)
 
     def test_more_shards_than_devices_rejected(self, heat2d):
         compiled = compile_stencil(heat2d, (64, 64))
@@ -105,14 +111,14 @@ class TestShardedExecutor:
         with pytest.raises(ValidationError):
             ShardedExecutor(2).execute(compiled, grid, 3)
 
-    def test_temporal_fusion_stays_bit_identical(self, heat2d):
+    def test_temporal_fusion_stays_bit_identical(self, session, heat2d):
         compiled = compile_stencil(heat2d, (64, 64), temporal_fusion=2)
         grid = make_grid((64, 64), seed=3)
-        single = run_stencil(compiled, grid, 4)
+        single = session.run(compiled, grid, 4).result
         sharded = ShardedExecutor(2).execute(compiled, grid, 4)
         assert np.array_equal(single.output, sharded.output)
 
-    def test_single_sweep_bills_no_halo_exchange(self, heat2d):
+    def test_single_sweep_bills_no_halo_exchange(self, session, heat2d):
         """Nothing reads halos after the final sweep, so a one-sweep run
         must report zero exchange traffic and time."""
         compiled = compile_stencil(heat2d, (96, 96))
@@ -121,7 +127,7 @@ class TestShardedExecutor:
         assert result.halo_exchange_bytes == 0.0
         assert result.halo_exchange_seconds == 0.0
         assert np.array_equal(result.output,
-                              run_stencil(compiled, grid, 1).output)
+                              session.run(compiled, grid, 1).output)
 
     def test_multi_device_accounting(self, heat2d):
         compiled = compile_stencil(heat2d, (96, 96))
@@ -159,7 +165,8 @@ def _deep_case(ndim, boundary):
     grid = make_grid(shape, kind="random", seed=11, boundary=boundary)
     compiled = compile_stencil(pattern, shape, boundary=boundary,
                                search=False, r1=8, r2=8)
-    single = run_stencil(compiled, grid, DEEP_ITERS)
+    with StencilSession() as session:
+        single = session.run(compiled, grid, DEEP_ITERS)
     return compiled, grid, single.output
 
 
@@ -225,7 +232,7 @@ class TestDeepHaloAccounting:
         assert 0.0 < result.halo_bytes_fraction < 1.0
         assert result.device_traffic_bytes > result.halo_exchange_bytes
 
-    def test_infeasible_depth_clamps_to_geometry(self, heat2d):
+    def test_infeasible_depth_clamps_to_geometry(self, session, heat2d):
         compiled = compile_stencil(heat2d, (34, 34), search=False, r1=8, r2=8)
         grid = make_grid((34, 34), seed=3)
         result = ShardedExecutor(4, shard_grid=(2, 2),
@@ -233,7 +240,7 @@ class TestDeepHaloAccounting:
         # 16-cell chunks hold at most radius + 1*step = 9 ghost cells
         assert result.halo_depth == 2
         assert np.array_equal(result.output,
-                              run_stencil(compiled, grid, 4).output)
+                              session.run(compiled, grid, 4).output)
 
 
 class TestRoundModels:
@@ -321,42 +328,53 @@ class TestDeepHaloTradeoff:
         assert trade.predicted_depth == best
 
 
+def solve_sharded(session, pattern, grid, iterations, *, devices, cache=None,
+                  **options):
+    """One sharded session solve; returns ``(compiled, ShardedRunResult)``."""
+    solution = session.solve(Problem(pattern, grid, iterations,
+                                     options=options),
+                             mode="sharded", devices=devices, cache=cache)
+    return solution.compiled, solution.result
+
+
 class TestSolveSharded:
-    def test_matches_direct_pipeline(self, heat2d):
+    def test_matches_direct_pipeline(self, session, heat2d):
         grid = make_grid((96, 96), seed=9)
-        compiled, result = solve_sharded(heat2d, grid, 2, devices=2)
+        compiled, result = solve_sharded(session, heat2d, grid, 2, devices=2)
         assert np.array_equal(result.output,
-                              run_stencil(compiled, grid, 2).output)
+                              session.run(compiled, grid, 2).output)
         assert result.device_count == 2
 
-    def test_cache_shared_between_global_and_shard_plans(self, heat2d):
+    def test_cache_shared_between_global_and_shard_plans(self, session,
+                                                         heat2d):
         cache = CompileCache()
         grid = make_grid((96, 96), seed=9)
-        solve_sharded(heat2d, grid, 2, devices=2, cache=cache)
+        solve_sharded(session, heat2d, grid, 2, devices=2, cache=cache)
         before = cache.stats.misses
-        solve_sharded(heat2d, grid, 2, devices=2, cache=cache)
+        solve_sharded(session, heat2d, grid, 2, devices=2, cache=cache)
         assert cache.stats.misses == before  # fully warm second run
 
-    def test_integer_devices_inherit_compiled_spec(self, heat2d):
+    def test_integer_devices_inherit_compiled_spec(self, session, heat2d):
         """devices=N must cluster the *compiled* device, not default A100s."""
         from repro.tcu.spec import A100_SPEC
         weak = A100_SPEC.with_overrides(sm_count=27, global_bandwidth_gbs=400.0)
         grid = make_grid((96, 96), seed=9)
-        _, on_weak = solve_sharded(heat2d, grid, 2, devices=2, spec=weak)
-        _, on_a100 = solve_sharded(heat2d, grid, 2, devices=2)
+        _, on_weak = solve_sharded(session, heat2d, grid, 2, devices=2,
+                                   spec=weak)
+        _, on_a100 = solve_sharded(session, heat2d, grid, 2, devices=2)
         assert on_weak.elapsed_seconds > on_a100.elapsed_seconds
         # different specs may pick different layouts, so only functional
         # closeness (not bit-equality) holds across devices
         assert np.max(np.abs(on_weak.output - on_a100.output)) < 5e-3
 
-    def test_custom_interconnect(self, heat2d):
+    def test_custom_interconnect(self, session, heat2d):
         slow = MultiDeviceSpec(device_count=2,
                                interconnect_bandwidth_gbs=10.0,
                                link_latency_seconds=1e-3)
         fast = multi_a100(2)
         grid = make_grid((96, 96), seed=9)
-        _, on_slow = solve_sharded(heat2d, grid, 2, devices=slow)
-        _, on_fast = solve_sharded(heat2d, grid, 2, devices=fast)
+        _, on_slow = solve_sharded(session, heat2d, grid, 2, devices=slow)
+        _, on_fast = solve_sharded(session, heat2d, grid, 2, devices=fast)
         assert on_slow.elapsed_seconds > on_fast.elapsed_seconds
         assert np.array_equal(on_slow.output, on_fast.output)
 
