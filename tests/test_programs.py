@@ -25,10 +25,12 @@ from repro import (
     model_program,
     run_program_reference,
 )
+from repro.engine.sharded import ShardedExecutor, model_schedule
 from repro.engine.single import SingleDeviceExecutor
 from repro.programs import plan_fusion, stage_cache_attribution
 from repro.service.cache import CompileCache
 from repro.stencils.grid import make_grid
+from repro.tcu.spec import MultiDeviceSpec
 from repro.util.validation import ValidationError
 
 FP16_TOL = 5e-3
@@ -335,6 +337,73 @@ class TestFusion:
         plan = compile_program(dag_program(), grid)
         with pytest.raises(ValidationError, match="chain"):
             ShardedProgramRunner(2).execute(plan, grid, STEPS)
+
+
+# --------------------------------------------------------------------- #
+# the program runner is the stencil engine fed a different round schedule
+# --------------------------------------------------------------------- #
+_PINNED_FIELDS = ("elapsed_seconds", "compute_seconds", "halo_exchange_count",
+                  "halo_exchange_bytes", "halo_exposed_seconds",
+                  "redundant_points_updated", "device_traffic_bytes",
+                  "shard_elapsed_seconds")
+
+
+def _assert_same_run(program_run, engine_run):
+    assert np.array_equal(program_run.output, engine_run.output)
+    for field in _PINNED_FIELDS:
+        assert getattr(program_run, field) == getattr(engine_run, field), \
+            field
+
+
+class TestShardedProgramMatchesEngine:
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic", "reflect"])
+    @pytest.mark.parametrize("shards", [2, 4])
+    @pytest.mark.parametrize("overlap", [True, False])
+    def test_one_stage_chain_is_the_depth_one_executor(self, boundary,
+                                                       shards, overlap):
+        grid = make_grid(SHAPE, kind="random", seed=7, boundary=boundary)
+        plan = compile_program(StencilProgram.chain("one", [("heat", HEAT)]),
+                               grid)
+        program_run = ShardedProgramRunner(
+            shards, overlap=overlap).execute(plan, grid, STEPS)
+        engine_run = ShardedExecutor(
+            shards, halo_depth=1, overlap=overlap).execute(
+                plan.stages[0].compiled[0], grid, STEPS)
+        assert program_run.halo_depth == engine_run.halo_depth == 1
+        _assert_same_run(program_run, engine_run)
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic", "reflect"])
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_fused_two_stage_chain_is_the_depth_two_executor(self, boundary,
+                                                             shards):
+        grid = make_grid(SHAPE, kind="random", seed=7, boundary=boundary)
+        plan = compile_program(
+            StencilProgram.chain("twice", [("a", HEAT), ("b", HEAT)]), grid)
+        program_run = ShardedProgramRunner(shards).execute(plan, grid, STEPS)
+        engine_run = ShardedExecutor(shards, halo_depth=2).execute(
+            plan.stages[0].compiled[0], grid, 2 * STEPS)
+        assert program_run.halo_depth == engine_run.halo_depth == 2
+        _assert_same_run(program_run, engine_run)
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic", "reflect"])
+    @pytest.mark.parametrize("shards", [2, 4])
+    @pytest.mark.parametrize("overlap", [True, False])
+    def test_one_stage_program_model_is_the_schedule_model(self, boundary,
+                                                           shards, overlap):
+        grid = make_grid(SHAPE, kind="random", seed=7, boundary=boundary)
+        plan = compile_program(StencilProgram.chain("one", [("heat", HEAT)]),
+                               grid)
+        compiled = plan.stages[0].compiled[0]
+        spec = MultiDeviceSpec(device=compiled.spec, device_count=shards)
+        partition = ShardedExecutor(spec, halo_depth=1).partition(compiled)
+        schedule = model_schedule(partition, spec,
+                                  compiled.plan.dtype.itemsize, STEPS,
+                                  compiled.plan.estimate.t_total,
+                                  overlap=overlap, window_seconds=None)
+        model = model_program(plan, devices=shards, steps=STEPS,
+                              overlap=overlap, spec=spec)
+        assert model.sharded_seconds == schedule.round_seconds
+        assert model.exposed_seconds == schedule.exposed_seconds
 
 
 # --------------------------------------------------------------------- #
