@@ -12,10 +12,12 @@ after that:
   iteration counts not divisible by the temporal-fusion factor;
 * :mod:`repro.engine.sharded` — :class:`ShardedExecutor`, domain-decomposed
   execution across N simulated devices with communication-avoiding deep
-  halos (exchange once per ``halo_depth`` sweeps), modelled compute/comm
-  overlap, and the shared round-cost model (:func:`model_round` /
-  :func:`model_schedule`) the scheduler and analysis layers price with —
-  bit-identical to the single-device run at every depth.
+  halos (exchange once per ``halo_depth`` sweeps) and modelled compute/comm
+  overlap — bit-identical to the single-device run at every depth.  Its
+  round loop is the one sharded code path: the sharded program runner only
+  feeds it a different round schedule.  One walk prices those schedules
+  (:func:`model_round` / :func:`model_schedule`, and the program model) for
+  the scheduler and analysis layers.
 """
 
 from repro.engine.base import (

@@ -7,7 +7,8 @@ splits — compiled stage by stage through the
 (one program fingerprint folding every stage's compile fingerprint plus
 the wiring), and executed by :class:`ProgramRunner` (single device) or
 :class:`ShardedProgramRunner` (communication-avoiding multi-device, one
-halo exchange per fused stage group).  The session layer routes
+halo exchange per fused stage group), which runs the fused groups through
+the stencil engine's sharded round loop.  The session layer routes
 ``Problem(program=..., grid=..., iterations=...)`` here; see the README's
 "Stencil programs" section.
 """

@@ -12,44 +12,46 @@ Two runners share the execution contract of
   stage (one per program *step* for a single-stage program), and for a
   single-stage chain the bits match :class:`repro.engine.SingleDeviceExecutor`
   exactly.
-* :class:`ShardedProgramRunner` — the PR 7 communication-avoiding machinery
-  applied per program *group* instead of per kernel.  Uniform-radius chain
-  programs partition once (tiles aligned to the per-axis LCM of every
-  stage's layout tiles, so each stage's shard-local ``B'`` columns stay
-  bit-identical to its global ones) and execute a flattened round schedule:
-  one halo exchange validates a whole fused group of stages, with stage
-  ``j`` of a group sweeping on the shrinking window ``mult = span-1-j``.
-  Unfused execution (``fuse=False``) keeps the shard-locals resident across
-  the entire run and exchanges once per stage — still only
-  ``rounds - 1`` exchanges total, because the first round reads the initial
-  extraction and nothing reads halos after the final sweep.
+* :class:`ShardedProgramRunner` — not a runner of its own but a round
+  schedule for the stencil engine's sharded round loop
+  (:class:`repro.engine.ShardedExecutor` runs the same loop).
+  Uniform-radius chain programs partition once (tiles aligned to the
+  per-axis LCM of every stage's layout tiles, so each stage's shard-local
+  ``B'`` columns stay bit-identical to its global ones) and feed the fused
+  stage groups once per step: one halo exchange validates a whole group,
+  with stage ``j`` of a group sweeping on the shrinking window
+  ``mult = span-1-j``.  Unfused execution (``fuse=False``) exchanges once
+  per stage — still only ``rounds - 1`` exchanges total, because the first
+  round reads the initial extraction and nothing reads halos after the
+  final sweep.  A one-stage chain therefore runs exactly like
+  ``ShardedExecutor(halo_depth=1)``, bits and billing alike.
 
-:func:`model_program` prices both paths with the same arithmetic as
-:func:`repro.engine.sharded.model_schedule` (linear window-cell scaling of
-each stage's full-grid roofline), so the
+:func:`model_program` prices that schedule with the engine's round-pricing
+walk, the one behind :func:`repro.engine.sharded.model_schedule`, so the
 :class:`repro.server.scheduler.DevicePoolScheduler` can route programs and
 the fusion benchmark can count modelled exchanges without executing.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.morphing import MorphConfig
 from repro.core.pipeline import StencilRunResult
 from repro.engine.base import prepare_sweep, run_sweep, summarize_launches
 from repro.engine.sharded import (
     ShardedRunResult,
-    _interior_cells,
-    build_shard_phases,
-    run_shard_phase,
+    _ShardedRunner,
+    _price_rounds,
+    _standard_layout,
 )
+# re-exported: perfbench patches it here too; the loop calls the engine's
+from repro.engine.sharded import run_shard_phase  # noqa: F401
 from repro.obs.trace import current_span
 from repro.programs.compile import ProgramPlan
 from repro.programs.program import STATE
@@ -57,10 +59,8 @@ from repro.stencils.boundary import apply_boundary
 from repro.stencils.grid import Grid
 from repro.stencils.partition import GridPartition
 from repro.stencils.reference import stencil_points_updated
-from repro.tcu.counters import combine_utilization
 from repro.tcu.executor import LaunchResult
 from repro.tcu.spec import GPUSpec, MultiDeviceSpec
-from repro.util.parallel import default_workers
 from repro.util.validation import ValidationError, require, require_positive_int
 
 __all__ = [
@@ -82,6 +82,15 @@ def _program_throughput(plan: ProgramPlan, steps: int) -> Tuple[float, float]:
             points += tap_points
             flops += 2.0 * pattern.points * tap_points
     return float(points), float(flops)
+
+
+def _rates(points: float, flops: float,
+           elapsed: float) -> Tuple[float, float]:
+    """``(GStencil/s, GFlops/s)`` of ``points`` updates and ``flops``
+    floating-point operations in ``elapsed`` modelled seconds."""
+    if elapsed <= 0:
+        return 0.0, 0.0
+    return points / elapsed / 1e9, flops / elapsed / 1e9
 
 
 def _check_run(plan: ProgramPlan, grid: Grid, steps: int) -> None:
@@ -178,8 +187,7 @@ class ProgramRunner:
         totals = summarize_launches(launches)
         points, flops = _program_throughput(plan, steps)
         elapsed = totals.elapsed_seconds
-        gstencil = points / elapsed / 1e9 if elapsed > 0 else 0.0
-        gflops = flops / elapsed / 1e9 if elapsed > 0 else 0.0
+        gstencil, gflops = _rates(points, flops, elapsed)
         return StencilRunResult(
             output=state,
             iterations=steps,
@@ -208,55 +216,16 @@ def _program_alignment(plan: ProgramPlan) -> Tuple[int, ...]:
     for cstage in plan.stages:
         for compiled in cstage.compiled:
             config = compiled.plan.config
-            pattern = compiled.pattern
-            require(
-                MorphConfig.from_r1_r2(pattern.ndim, config.r1, config.r2)
-                == config,
-                f"stage {cstage.name!r} layout config {config.r} is not "
-                f"expressible as (r1, r2) — sharded program execution "
-                f"supports the standard morph layouts only")
+            require(_standard_layout(compiled),
+                    f"stage {cstage.name!r} layout config {config.r} is not "
+                    f"expressible as (r1, r2) — sharded program execution "
+                    f"supports the standard morph layouts only")
             for axis, extent in enumerate(config.r):
                 align[axis] = math.lcm(align[axis], int(extent))
     return tuple(align)
 
 
-def _check_shardable(plan: ProgramPlan) -> None:
-    require(plan.program.is_chain,
-            f"sharded execution supports single-tap chain programs only; "
-            f"{plan.program.name!r} is a general DAG — run it on the "
-            f"single-device program runner")
-    require(plan.uniform_radius,
-            f"sharded execution needs a uniform stage radius; "
-            f"{plan.program.name!r} mixes radii "
-            f"{sorted({s.radius for s in plan.stages})}")
-
-
-def _program_partition(plan: ProgramPlan, shard_grid, fuse: bool
-                       ) -> Tuple[GridPartition, Tuple[Tuple[str, ...], ...]]:
-    """The common partition plus the round groups (stage names per round).
-
-    Fused groups come from the compile-time :class:`FusionPlan`, re-chunked
-    to the deepest halo the geometry supports; ``fuse=False`` degrades to
-    singleton groups on a classic depth-1 partition (one exchange per
-    stage).  The partition's ``halo_depth`` is the longest group's span.
-    """
-    _check_shardable(plan)
-    radius = plan.radius
-    align = _program_alignment(plan)
-    cap = GridPartition.max_halo_depth(plan.grid_shape, radius, shard_grid,
-                                       align=align, boundary=plan.boundary)
-    if fuse:
-        groups = plan.fusion.bounded(cap)
-    else:
-        groups = tuple((name,) for name in plan.program.stage_names)
-    depth = max(len(group) for group in groups)
-    partition = GridPartition.build(plan.grid_shape, radius, shard_grid,
-                                    align=align, boundary=plan.boundary,
-                                    halo_depth=depth)
-    return partition, groups
-
-
-class ShardedProgramRunner:
+class ShardedProgramRunner(_ShardedRunner):
     """Run a compiled chain program sharded across multiple devices.
 
     Parameters mirror :class:`repro.engine.ShardedExecutor` (``spec`` may be
@@ -271,260 +240,58 @@ class ShardedProgramRunner:
                  shard_grid: Optional[Sequence[int]] = None,
                  cache=None, max_workers: Optional[int] = None,
                  fuse: bool = True, overlap: bool = True) -> None:
-        if isinstance(spec, (int, np.integer)):
-            self._device_count = int(spec)
-            require_positive_int(self._device_count, "device count")
-            self.spec: Optional[MultiDeviceSpec] = None
-        else:
-            require(isinstance(spec, MultiDeviceSpec),
-                    f"spec must be a MultiDeviceSpec or a device count, "
-                    f"got {type(spec).__name__}")
-            self.spec = spec
-            self._device_count = spec.device_count
-        self.shard_grid = None if shard_grid is None else tuple(
-            int(c) for c in shard_grid)
-        self.cache = cache
-        self.max_workers = max_workers
+        super().__init__(spec, shard_grid, cache, max_workers, overlap)
         self.fuse = bool(fuse)
-        self.overlap = bool(overlap)
 
     def resolve_spec(self, plan: ProgramPlan) -> MultiDeviceSpec:
-        if self.spec is not None:
-            return self.spec
-        return MultiDeviceSpec(device=plan.stages[0].compiled[0].spec,
-                               device_count=self._device_count)
+        return self._cluster(plan.stages[0].compiled[0].spec)
 
     def partition(self, plan: ProgramPlan
                   ) -> Tuple[GridPartition, Tuple[Tuple[str, ...], ...]]:
-        shard_grid = self.shard_grid if self.shard_grid is not None \
-            else self._device_count
-        partition, groups = _program_partition(plan, shard_grid, self.fuse)
-        require(partition.n_shards <= self._device_count,
-                f"{partition.n_shards} shards need more than the "
-                f"{self._device_count} available devices")
-        return partition, groups
+        """The common partition plus the round groups (stage names per round).
+
+        Fused groups come from the compile-time :class:`FusionPlan`,
+        re-chunked to the deepest halo the geometry supports; ``fuse=False``
+        degrades to singleton groups on a classic depth-1 partition (one
+        exchange per stage).  The partition's ``halo_depth`` is the longest
+        group's span.
+        """
+        require(plan.program.is_chain,
+                f"sharded execution supports single-tap chain programs only; "
+                f"{plan.program.name!r} is a general DAG — run it on the "
+                f"single-device program runner")
+        require(plan.uniform_radius,
+                f"sharded execution needs a uniform stage radius; "
+                f"{plan.program.name!r} mixes radii "
+                f"{sorted({s.radius for s in plan.stages})}")
+        align = _program_alignment(plan)
+        cap = GridPartition.max_halo_depth(
+            plan.grid_shape, plan.radius, self._shard_request, align=align,
+            boundary=plan.boundary)
+        if self.fuse:
+            groups = plan.fusion.bounded(cap)
+        else:
+            groups = tuple((name,) for name in plan.program.stage_names)
+        partition = GridPartition.build(
+            plan.grid_shape, plan.radius, self._shard_request, align=align,
+            boundary=plan.boundary,
+            halo_depth=max(len(group) for group in groups))
+        return self._fits(partition), groups
 
     def execute(self, plan: ProgramPlan, grid: Grid,
                 steps: int) -> ShardedRunResult:
+        """The engine's round loop, fed the fused groups once per step."""
         _check_run(plan, grid, steps)
         spec = self.resolve_spec(plan)
         partition, groups = self.partition(plan)
-        depth = partition.halo_depth
-        radius = partition.radius
-
-        trace = current_span()
-        tracer = trace.tracer if trace is not None else None
-
-        from repro.service.cache import CompileCache
-
-        cache = self.cache
-        if cache is None:
-            cache = CompileCache(capacity=max(
-                8, partition.n_shards * depth * plan.stage_count))
-        compile_start = time.perf_counter()
-        phases = {
-            cstage.name: build_shard_phases(cstage.compiled[0], spec,
-                                            partition, cache=cache,
-                                            max_workers=self.max_workers)
-            for cstage in plan.stages
-        }
-        shard_compile_seconds = time.perf_counter() - compile_start
-        if tracer is not None:
-            tracer.record("shard_compile", compile_start,
-                          compile_start + shard_compile_seconds, parent=trace,
-                          shards=partition.n_shards, halo_depth=depth,
-                          stages=plan.stage_count)
-
-        itemsize = plan.dtype.itemsize
-        recv_messages = partition.messages_per_shard()
-        recv_elements = partition.received_elements_per_shard()
-        shard_halo_seconds = [
-            spec.exchange_seconds(elements * itemsize, messages)
-            for elements, messages in zip(recv_elements, recv_messages)
-        ] if partition.n_shards > 1 else [0.0]
-        halo_seconds_per_exchange = max(shard_halo_seconds)
-        interior_cells = [_interior_cells(partition, shard)
-                          for shard in partition.shards]
-        owned_cells = [math.prod(shard.out_shape)
-                       for shard in partition.shards]
-
-        # fill the initial ring exactly like the single-device program
-        # runner's first tap fill, then extract the resident shard slabs —
-        # they stay live for the entire run, across stages and steps
-        if partition.boundary == "dirichlet":
-            base = grid.data
-        else:
-            base = apply_boundary(grid.data.copy(), radius,
-                                  partition.boundary)
-        locals_ = partition.extract(base)
-        n_shards = partition.n_shards
-        shard_launches: List[List[LaunchResult]] = [[] for _ in range(n_shards)]
-        wall = compute_crit = memory_crit = 0.0
-        halo_bytes = halo_seconds = exposed_seconds = dram_bytes = 0.0
-        exchange_count = 0
-        redundant_cells = 0
-
-        workers = self.max_workers if self.max_workers is not None \
-            else default_workers(n_shards)
-        pool = ThreadPoolExecutor(max_workers=workers) \
-            if workers > 1 and n_shards > 1 else None
-
-        def sweep_all(stage_name: str, mult: int) -> List[LaunchResult]:
-            row = [phases[stage_name][i][mult] for i in range(n_shards)]
-            if pool is not None:
-                return list(pool.map(
-                    lambda pair: run_shard_phase(pair[0], pair[1], radius),
-                    zip(row, locals_)))
-            return [run_shard_phase(phase, local, radius)
-                    for phase, local in zip(row, locals_)]
-
-        try:
-            first_round = True
-            sweep_index = 0
-            for step in range(steps):
-                step_span = tracer.begin(
-                    "program_step", parent=trace, step=step,
-                    program=plan.program.name, groups=len(groups),
-                ) if tracer is not None else None
-                step_wall_before = wall
-                for round_index, group in enumerate(groups):
-                    span = len(group)
-                    after_exchange = False
-                    round_span = None
-                    round_wall_before = wall
-                    if tracer is not None:
-                        round_span = tracer.begin(
-                            "round", parent=step_span, round=round_index,
-                            sweeps_in_round=span, stages=list(group))
-                    if not first_round:
-                        # one exchange validates the whole group; the very
-                        # first round reads the initial extraction and needs
-                        # none
-                        exchange_start = time.perf_counter()
-                        exchanged = partition.exchange_halos(locals_)
-                        if n_shards > 1:
-                            halo_bytes += exchanged * itemsize
-                            halo_seconds += halo_seconds_per_exchange
-                            exchange_count += 1
-                            after_exchange = True
-                            if tracer is not None:
-                                tracer.record(
-                                    "halo_exchange", exchange_start,
-                                    time.perf_counter(), parent=round_span,
-                                    device_seconds=halo_seconds_per_exchange,
-                                    bytes=exchanged * itemsize,
-                                    overlap=self.overlap)
-                    for j, stage_name in enumerate(group):
-                        mult = span - 1 - j
-                        if j > 0:
-                            partition.refresh_local_boundaries(locals_)
-                        sweep_start = time.perf_counter()
-                        results = sweep_all(stage_name, mult)
-                        sweep_end = time.perf_counter()
-                        for launches, result in zip(shard_launches, results):
-                            launches.append(result)
-                        elapsed = [r.elapsed_seconds for r in results]
-                        compute_crit += max(r.compute_seconds
-                                            for r in results)
-                        memory_crit += max(r.memory_seconds for r in results)
-                        dram_bytes += sum(
-                            phases[stage_name][i][mult].dram_bytes
-                            for i in range(n_shards))
-                        redundant_cells += sum(
-                            phases[stage_name][i][mult].out_cells - owned
-                            for i, owned in enumerate(owned_cells))
-                        if tracer is not None:
-                            tracer.record("sweep", sweep_start, sweep_end,
-                                          parent=round_span,
-                                          device_seconds=max(elapsed),
-                                          sweep=sweep_index,
-                                          stage=stage_name, window_mult=mult)
-                        if after_exchange and self.overlap:
-                            step_wall = 0.0
-                            for i, seconds in enumerate(elapsed):
-                                cells = phases[stage_name][i][mult].out_cells
-                                share = min(interior_cells[i], cells) / cells \
-                                    if cells > 0 else 0.0
-                                interior_sec = seconds * share
-                                step_wall = max(
-                                    step_wall,
-                                    max(interior_sec, shard_halo_seconds[i])
-                                    + (seconds - interior_sec))
-                            wall += step_wall
-                            exposure = step_wall - max(elapsed)
-                            exposed_seconds += exposure
-                            if tracer is not None:
-                                tracer.record("overlap_exposed", sweep_end,
-                                              sweep_end, parent=round_span,
-                                              device_seconds=exposure,
-                                              sweep=sweep_index, overlap=True)
-                        elif after_exchange:
-                            wall += max(elapsed) + halo_seconds_per_exchange
-                            exposed_seconds += halo_seconds_per_exchange
-                            if tracer is not None:
-                                tracer.record(
-                                    "overlap_exposed", sweep_end, sweep_end,
-                                    parent=round_span,
-                                    device_seconds=halo_seconds_per_exchange,
-                                    sweep=sweep_index, overlap=False)
-                        else:
-                            wall += max(elapsed)
-                        after_exchange = False
-                        sweep_index += 1
-                    first_round = False
-                    if tracer is not None and round_span is not None:
-                        round_span.add_device_seconds(wall - round_wall_before)
-                        tracer.end(round_span)
-                if tracer is not None and step_span is not None:
-                    step_span.add_device_seconds(wall - step_wall_before)
-                    tracer.end(step_span)
-        finally:
-            if pool is not None:
-                pool.shutdown()
-
-        output = partition.assemble(locals_, base)
-        apply_boundary(output, radius, partition.boundary)
-
-        shard_totals = [summarize_launches(launches)
-                        for launches in shard_launches]
-        all_launches = [r for launches in shard_launches for r in launches]
-        overall = combine_utilization(
-            [r.utilization for r in all_launches],
-            [r.elapsed_seconds for r in all_launches])
-
         points, flops = _program_throughput(plan, steps)
-        elapsed = wall
-        gstencil = points / elapsed / 1e9 if elapsed > 0 else 0.0
-        gflops = flops / elapsed / 1e9 if elapsed > 0 else 0.0
-
-        return ShardedRunResult(
-            output=output,
-            iterations=steps,
-            elapsed_seconds=elapsed,
-            compute_seconds=compute_crit,
-            memory_seconds=memory_crit,
-            gstencil_per_second=gstencil,
-            gflops_per_second=gflops,
-            utilization=overall,
-            overhead_seconds={"program_compile": plan.compile_seconds,
-                              "shard_compile": shard_compile_seconds},
-            sweeps=len(all_launches) // max(1, n_shards),
-            leftover_sweeps=0,
-            points_updated=points,
-            shard_grid=partition.shard_grid,
-            shard_elapsed_seconds=tuple(t.elapsed_seconds
-                                        for t in shard_totals),
-            shard_utilization=tuple(t.utilization for t in shard_totals),
-            halo_exchange_bytes=halo_bytes,
-            halo_exchange_seconds=halo_seconds,
-            halo_exposed_seconds=exposed_seconds,
-            halo_exchange_count=exchange_count,
-            halo_depth=depth,
-            overlap=self.overlap,
-            redundant_points_updated=float(redundant_cells),
-            device_traffic_bytes=dram_bytes,
-            device_count=spec.device_count,
-        )
+        return self._run(
+            {cstage.name: cstage.compiled[0] for cstage in plan.stages},
+            spec, partition, grid, [groups] * steps,
+            iterations=steps, points=points,
+            throughput=functools.partial(_rates, points, flops),
+            overhead={"program_compile": plan.compile_seconds},
+            step_attrs={"program": plan.program.name, "groups": len(groups)})
 
 
 @dataclass(frozen=True)
@@ -575,13 +342,13 @@ def model_program(plan: ProgramPlan, devices: int = 2, steps: int = 1,
                   spec: Optional[MultiDeviceSpec] = None) -> ProgramCostModel:
     """Price ``steps`` program steps on one device and on ``devices`` shards.
 
-    The sharded estimate walks the exact round schedule the runner executes
-    (first round skips the exchange, stage ``j`` of a span-``k`` group
-    sweeps window ``mult = k-1-j``) with each stage's full-grid modelled
-    sweep time scaled linearly by its window's share of the output cells —
-    the same compile-free arithmetic as
-    :func:`repro.engine.sharded.model_schedule`, so the scheduler routes
-    programs and plain kernels through one pricing model.
+    The sharded estimate partitions exactly as :class:`ShardedProgramRunner`
+    does — a shard grid the runner refuses is unshardable here too — and
+    prices the runner's round schedule (the fused groups once per step)
+    with :func:`repro.engine.sharded.model_schedule`'s walk, each stage's
+    full-grid modelled sweep time scaled linearly by its window's share of
+    the output cells.  The scheduler therefore routes programs and plain
+    kernels through one pricing model.
     """
     require_positive_int(steps, "steps")
     single_seconds = plan.single_step_seconds * steps
@@ -598,85 +365,33 @@ def model_program(plan: ProgramPlan, devices: int = 2, steps: int = 1,
 
     if devices <= 1:
         return unsharded("a single device has nothing to shard over")
+    runner = ShardedProgramRunner(spec if spec is not None else devices,
+                                  shard_grid=shard_grid, fuse=fuse,
+                                  overlap=overlap)
     try:
-        _check_shardable(plan)
-        partition, groups = _program_partition(
-            plan, shard_grid if shard_grid is not None else devices, fuse)
+        partition, groups = runner.partition(plan)
     except ValidationError as error:
         return unsharded(str(error))
     if partition.n_shards <= 1:
         return unsharded("the partition degenerates to one shard")
 
-    if spec is None:
-        spec = MultiDeviceSpec(device=plan.stages[0].compiled[0].spec,
-                               device_count=devices)
-    itemsize = plan.dtype.itemsize
-    recv_elements = partition.received_elements_per_shard()
-    recv_messages = partition.messages_per_shard()
-    halos = [spec.exchange_seconds(elements * itemsize, messages)
-             for elements, messages in zip(recv_elements, recv_messages)]
-    halo = max(halos)
-
+    priced = _price_rounds(
+        partition, runner.resolve_spec(plan), plan.dtype.itemsize,
+        groups * steps,
+        {cstage.name: cstage.sweep_seconds for cstage in plan.stages},
+        overlap)
     depth = partition.halo_depth
-    out_cells = 1
-    for extent in partition.grid_shape:
-        out_cells *= extent - 2 * partition.radius
-    window_cells = [[math.prod(partition.window_out_shape(shard, mult))
-                     for mult in range(depth)]
-                    for shard in partition.shards]
-    interior = [_interior_cells(partition, shard)
-                for shard in partition.shards]
-    stage_seconds = {cstage.name: cstage.sweep_seconds
-                     for cstage in plan.stages}
-
-    wall = exposed = halo_total = 0.0
-    exchange_count = 0
-    first_round = True
-    for _ in range(steps):
-        for group in groups:
-            span = len(group)
-            after_exchange = not first_round
-            if after_exchange:
-                exchange_count += 1
-                halo_total += halo
-            for j, stage_name in enumerate(group):
-                mult = span - 1 - j
-                per_shard = [
-                    stage_seconds[stage_name] * window_cells[i][mult]
-                    / out_cells
-                    for i in range(partition.n_shards)]
-                if after_exchange and overlap:
-                    step_wall = 0.0
-                    for i, seconds in enumerate(per_shard):
-                        cells = window_cells[i][mult]
-                        share = min(interior[i], cells) / cells \
-                            if cells > 0 else 0.0
-                        interior_sec = seconds * share
-                        step_wall = max(step_wall,
-                                        max(interior_sec, halos[i])
-                                        + (seconds - interior_sec))
-                    wall += step_wall
-                    exposed += step_wall - max(per_shard)
-                elif after_exchange:
-                    wall += max(per_shard) + halo
-                    exposed += halo
-                else:
-                    wall += max(per_shard)
-                after_exchange = False
-            first_round = False
-
-    fused = any(len(group) > 1 for group in groups)
     return ProgramCostModel(
         steps=steps,
         devices=devices,
-        fused=fused,
+        fused=any(len(group) > 1 for group in groups),
         groups=groups,
         halo_depth=depth,
         single_seconds=single_seconds,
-        sharded_seconds=wall,
-        exchange_count=exchange_count,
-        halo_seconds=halo_total,
-        exposed_seconds=exposed,
+        sharded_seconds=priced.wall,
+        exchange_count=priced.exchanges,
+        halo_seconds=priced.halo_total,
+        exposed_seconds=priced.exposed,
         reason=f"{len(groups)} group(s) per step, depth {depth}, "
-               f"{exchange_count} exchange(s) over {steps} step(s)",
+               f"{priced.exchanges} exchange(s) over {steps} step(s)",
     )

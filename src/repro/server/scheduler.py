@@ -19,6 +19,10 @@ model is introduced):
   best modelled speedup wins, provided it beats ``min_speedup`` and the
   exposed-exchange share of the round stays under ``max_halo_fraction``.
 
+Programs (:meth:`DevicePoolScheduler.decide_program`) are priced with
+:func:`repro.programs.model_program`: the same round-pricing walk over the
+program's fused-group schedule, under the same gates.
+
 Occupancy is enforced by the :class:`repro.tcu.occupancy.OccupancyLedger`:
 :meth:`DevicePoolScheduler.route` decides and leases in one step, and the
 lease protocol guarantees in-use devices never exceed the pool size.
@@ -29,12 +33,12 @@ from __future__ import annotations
 import contextlib
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple, Union
+from typing import Any, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.morphing import MorphConfig
 from repro.core.pipeline import CompiledStencil
+from repro.engine.sharded import _standard_layout
 from repro.obs.metrics import global_registry
 from repro.stencils.partition import GridPartition
 from repro.tcu.occupancy import DeviceLease, OccupancyLedger
@@ -74,13 +78,6 @@ class RoutingDecision:
     @property
     def sharded(self) -> bool:
         return self.executor == "sharded"
-
-
-def _shardable(compiled: CompiledStencil) -> bool:
-    """Whether the sharded executor supports this plan's layout at all."""
-    config = compiled.plan.config
-    pattern = compiled.pattern
-    return MorphConfig.from_r1_r2(pattern.ndim, config.r1, config.r2) == config
 
 
 class DevicePoolScheduler:
@@ -227,7 +224,7 @@ class DevicePoolScheduler:
         if iterations % compiled.temporal_fusion != 0:
             return single("iterations not divisible by the temporal-fusion "
                           "factor (leftover sweeps are single-device)")
-        if not _shardable(compiled):
+        if not _standard_layout(compiled):
             return single("layout not expressible as (r1, r2); sharded "
                           "execution unsupported")
 
@@ -253,15 +250,15 @@ class DevicePoolScheduler:
                           f"{self.min_speedup:.2f}x threshold")
         return best
 
-    def decide_program(self, plan: "Any", steps: int,
+    def decide_program(self, plan: Any, steps: int,
                        free_devices: Optional[int] = None) -> RoutingDecision:
         """Routing decision for a compiled stencil *program*
         (:class:`repro.programs.ProgramPlan`).
 
         Prices the sharded round schedule with
-        :func:`repro.programs.executor.model_program` — the same partition
-        geometry, interconnect model and overlap arithmetic as
-        :meth:`decide` — and applies the identical ``min_speedup`` /
+        :func:`repro.programs.executor.model_program` — the round-pricing
+        walk :meth:`decide`'s round model also goes through — and applies
+        the identical ``min_speedup`` /
         ``max_halo_fraction`` gates.  The halo depth is not searched here:
         a program's depth is its fusion-group span (consecutive equal-radius
         stages under one exchange), clamped by the geometry.
@@ -318,7 +315,7 @@ class DevicePoolScheduler:
         return best
 
     def spec_for_program(self, decision: RoutingDecision,
-                         plan: "Any") -> MultiDeviceSpec:
+                         plan: Any) -> MultiDeviceSpec:
         """The cluster slice a sharded program runs on — ``decision.devices``
         copies of the device the program's stages were compiled for, joined
         by the pool's interconnect (the program analogue of

@@ -338,6 +338,20 @@ class TestFusion:
         with pytest.raises(ValidationError, match="chain"):
             ShardedProgramRunner(2).execute(plan, grid, STEPS)
 
+    def test_model_rejects_shard_grid_the_runner_refuses(self):
+        """A shard grid with more shards than devices is unshardable for
+        the model exactly as it is for the runner."""
+        grid = make_grid(SHAPE, kind="random", seed=11)
+        plan = compile_program(two_stage_chain(), grid)
+        with pytest.raises(ValidationError, match="available devices"):
+            ShardedProgramRunner(2, shard_grid=(2, 2)).execute(
+                plan, grid, STEPS)
+        model = model_program(plan, devices=2, steps=STEPS,
+                              shard_grid=(2, 2))
+        assert model.sharded_seconds is None
+        assert "available devices" in model.reason
+        assert model.recommendation == "single"
+
 
 # --------------------------------------------------------------------- #
 # the program runner is the stencil engine fed a different round schedule

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import threading
 import time
+import typing
 
 import pytest
 
@@ -326,3 +327,12 @@ def heat2d_cls():
     from repro.stencils.pattern import StencilPattern
     return StencilPattern.star(2, 1, weights=[0.6, 0.1, 0.1, 0.1, 0.1],
                                name="heat-2d")
+
+
+class TestAnnotations:
+    @pytest.mark.parametrize("method", ["decide", "decide_program",
+                                        "spec_for", "spec_for_program"])
+    def test_type_hints_resolve(self, method):
+        """Every annotation names something the module imports."""
+        hints = typing.get_type_hints(getattr(DevicePoolScheduler, method))
+        assert hints["return"] is not None
