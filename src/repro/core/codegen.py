@@ -19,9 +19,12 @@ hangs C/OpenMP/OpenCL transformers off a single kernel frontend:
 
 * ``"tcu-sim"`` (the default) — the simulated sparse/dense Tensor-Core
   pipeline: per sweep, gather ``B'`` through the LUTs, run the fragment MMA
-  on the functional device model, assemble the interior.  Slow on the host
-  (it faithfully simulates the device data path) but it *is* the paper's
-  pipeline, and every golden fixture freezes its numerics.
+  on the functional device model, assemble the interior.  Slower on the
+  host than ``numpy`` because it carries the device data path: a sparse
+  sweep rounds the grid to device precision, gathers the two ``B'`` rows
+  of every retained ``A''`` value through one per-plan row map, and
+  contracts them in float32 (:mod:`repro.engine.base`).  It *is* the
+  paper's pipeline, and every golden fixture freezes its numerics.
 * ``"numpy"`` — a vectorised fast path: the effective (fused) kernel is
   applied directly as one shifted-view accumulation per tap, in float64.
   Elementwise and shape-independent, so sharded runs stay bit-identical to
@@ -115,6 +118,13 @@ class KernelPlan:
     blocks: int
     registers_per_thread: int = SPARSE_KERNEL_REGISTERS
     cuda_source: str = ""
+
+    def __getstate__(self) -> dict:
+        # private attributes are per-process memos (the tcu-sim sweep's, see
+        # repro.engine.base) rebuilt on first use: a pickled or persisted
+        # plan carries its fields only
+        return {name: value for name, value in self.__dict__.items()
+                if not name.startswith("_")}
 
     @property
     def m_prime(self) -> int:

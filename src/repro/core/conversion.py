@@ -11,12 +11,15 @@ Turns the staircase kernel matrix ``A'`` produced by layout morphing into a
 
 The returned :class:`ConversionResult` also knows how to apply the same
 row permutation to any input matrix ``B'`` (done once per sweep by the
-generated kernel), preserving ``A' @ B' = A'' @ B''`` exactly.
+generated kernel), preserving ``A' @ B' = A'' @ B''`` exactly.  The tcu-sim
+sweep never materialises ``B''``: it composes ``scatter_rows`` into its
+per-plan row map (:mod:`repro.engine.base`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -69,19 +72,28 @@ class ConversionResult:
         """Zero columns inserted (including the round-up to a multiple of 4)."""
         return self.n_total - self.n_original
 
-    @property
+    @cached_property
     def scatter_rows(self) -> np.ndarray:
         """Destination row (in the permuted space) of each original B' row.
 
         ``b_converted[scatter_rows[i]] = b_prime[i]`` reproduces
         :meth:`apply_to_b` without materialising the padded matrix first —
-        this is what the generated kernel's lookup table encodes.
+        this is what the generated kernel's lookup table encodes.  Computed
+        once per conversion and read-only.
         """
+        permutation = np.asarray(self.permutation)
+        slots = np.flatnonzero(permutation < self.n_original)
         positions = np.empty(self.n_original, dtype=np.int64)
-        for slot, source in enumerate(self.permutation):
-            if source < self.n_original:
-                positions[source] = slot
+        positions[permutation[slots]] = slots
+        positions.flags.writeable = False
         return positions
+
+    def __getstate__(self) -> dict:
+        # the scatter_rows cache is derived from ``permutation``: a pickled
+        # conversion stays the size of its fields
+        state = dict(self.__dict__)
+        state.pop("scatter_rows", None)
+        return state
 
     def apply_to_b(self, b_prime: np.ndarray) -> np.ndarray:
         """Pad and permute an input matrix ``B'`` to match ``a_converted``."""

@@ -11,15 +11,19 @@ identical across blocks.  SparStencil precomputes them on the host:
   corner (constant across tiles).
 
 ``B'[i, j] = input.flat[column_base[j] + patch_offset[i]]`` then needs one
-addition per element.  The same tables drive the simulated kernel here: the
-per-sweep gather in :func:`gather_b_matrix` is how the run loop builds ``B'``,
-so the tables are functionally load-bearing, not just cost-model props.
+addition per element.  The same tables drive the simulated kernel here, so
+they are functionally load-bearing, not just cost-model props: dense plans
+build ``B'`` per sweep with the fancy-index gather of
+:func:`gather_b_matrix`, and the sparse tcu-sim sweep builds it through
+:func:`patch_view` — the strided view of the padded grid that reproduces
+both tables, checked against them once per plan — falling back to a gather
+through the tables whenever they do not have that layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -29,7 +33,7 @@ from repro.stencils.pattern import StencilPattern
 from repro.util.arrays import ceil_div
 from repro.util.validation import require, require_array
 
-__all__ = ["LookupTable", "build_lookup_table", "gather_b_matrix"]
+__all__ = ["LookupTable", "build_lookup_table", "gather_b_matrix", "patch_view"]
 
 
 @dataclass(frozen=True)
@@ -132,3 +136,30 @@ def gather_b_matrix(lut: LookupTable, data: np.ndarray) -> np.ndarray:
     gather = lut.patch_offset[:, None].astype(np.int64) + \
         lut.column_base[None, :].astype(np.int64)
     return flat[gather]
+
+
+def patch_view(lut: LookupTable, patch_shape: Tuple[int, ...],
+               tile_extents: Tuple[int, ...]
+               ) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """``(shape, element strides)`` of the view of the padded grid that is ``B'``.
+
+    When ``patch_offset`` enumerates a ``patch_shape`` patch row-major and
+    ``column_base`` the tile corners (``tile_extents`` apart) row-major — the
+    layout :func:`build_lookup_table` writes — ``B'`` is the padded grid
+    viewed with shape ``patch_shape + tile_grid``, reshaped to ``(k', n')``.
+    Returns ``None`` unless that view reproduces both tables exactly and
+    stays inside the padded grid; callers then gather through the tables.
+    """
+    ndim = len(lut.padded_grid_shape)
+    strides = np.array([int(np.prod(lut.padded_grid_shape[axis + 1:]))
+                        for axis in range(ndim)], dtype=np.int64)
+    tile_strides = strides * np.asarray(tile_extents, dtype=np.int64)
+    patch = np.indices(patch_shape).reshape(ndim, -1).T @ strides
+    tiles = np.indices(lut.tile_grid).reshape(ndim, -1).T @ tile_strides
+    if not (np.array_equal(patch, lut.patch_offset)
+            and np.array_equal(tiles, lut.column_base)):
+        return None
+    if patch.max() + tiles.max() >= int(np.prod(lut.padded_grid_shape)):
+        return None
+    return (tuple(int(s) for s in patch_shape) + tuple(lut.tile_grid),
+            tuple(int(s) for s in strides) + tuple(int(s) for s in tile_strides))

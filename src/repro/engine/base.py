@@ -5,34 +5,58 @@ The compile side of the pipeline (:mod:`repro.core.pipeline`) produces a
 engine layer's job.  One sweep decomposes into three steps, mirroring the
 generated kernel's stages:
 
-1. :func:`gather_step` — build ``B'`` from the current grid through the
-   lookup tables and apply the conversion's row permutation;
-2. :func:`mma_step` — issue the (sparse or dense) MMA on the simulated
-   Tensor Cores, producing the functional result and the modelled timing;
+1. :func:`gather_step` — build the MMA's ``B`` operand from the current
+   grid.  For a sparse plan: round the grid once to device precision into
+   the LUT-padded buffer, build ``B'`` from it through the lookup tables
+   (one strided view), and gather the ``(m, k/2, n)`` float32 rows that
+   the compressed ``A''`` values multiply through the plan's row map — the
+   LUT gather, PIT permutation, 4-padding and 2:4 index gather composed
+   into one ``(m, k/2)`` integer map.  For a dense plan: ``B'`` through the
+   tables, in float64;
+2. :func:`mma_step` — the (sparse or dense) MMA on the simulated Tensor
+   Cores.  A sparse plan contracts the gathered rows with the compressed
+   values in float32 through the standalone sparse MMA's own contraction
+   (:func:`~repro.tcu.sparse_mma.contract_rows`) and bills the launch
+   priced once per (plan, spec); a dense plan runs a full
+   :class:`~repro.tcu.executor.KernelLaunch`;
 3. :func:`assemble_step` — reassemble ``D`` into the grid interior (the
    halo ring is the *executor's* responsibility, per the plan's boundary
    condition).
 
-:func:`prepare_sweep` precomputes everything the steps share for one plan;
+The sparse path is bit-identical to the plain chain
+``gather_b_matrix`` -> ``apply_to_b`` -> ``sparse_mma`` -> ``assemble_output``
+(every element is still ``f32(dtype(x))`` and the contraction sees the same
+float32 array); ``tests/test_tcu_sweep.py`` pins that.  Its per-plan memo —
+compressed values, row map, strided LUT view, priced launches — is built
+on first use, published once under a lock (shard sweeps share plans on a
+thread pool) and never pickled with the plan.
+
+:func:`prepare_sweep` precomputes everything the steps share for one run;
 executors (:class:`SweepExecutor` implementations) own the loop around the
 steps — how many sweeps, on how many devices, with what halo movement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from repro.core.codegen import get_backend
-from repro.core.lookup_table import gather_b_matrix
+from repro.core.codegen import KernelPlan, get_backend
+from repro.core.lookup_table import gather_b_matrix, patch_view
 from repro.core.morphing import assemble_output
 from repro.core.pipeline import CompiledStencil, StencilRunResult
 from repro.stencils.grid import Grid
 from repro.stencils.reference import stencil_points_updated
 from repro.tcu.counters import combine_utilization
-from repro.tcu.executor import KernelLaunch, LaunchResult, execute_launch
+from repro.tcu.executor import KernelLaunch, LaunchResult, execute_launch, \
+    price_launch
+from repro.tcu.sparse_mma import compressed_rows, contract_rows, \
+    sparse_fragment_ops
+from repro.tcu.sparsity24 import compress_24
 from repro.tcu.spec import GPUSpec
 from repro.util.validation import require
 
@@ -118,23 +142,73 @@ def prepare_sweep(compiled: CompiledStencil,
     return context
 
 
-def gather_step(context: SweepContext, current: np.ndarray) -> np.ndarray:
-    """Stage 1: gather ``B'`` through the LUTs and permute its rows."""
-    plan = context.plan
-    b_prime = gather_b_matrix(plan.lut, current)
-    if plan.conversion is not None:
-        return plan.conversion.apply_to_b(b_prime)
-    return b_prime
+@dataclass
+class _SparseSweepMemo:
+    """Per-plan state of the sparse tcu-sim sweep, built once on first use.
+
+    ``values`` is the compressed ``A''`` in float32; ``row_map[r, s]`` the
+    ``B'`` row slot ``(r, s)`` reads, where row ``k'`` is the zero row the
+    sweep appends (padding and inserted zero columns).  ``patches`` is
+    :func:`~repro.core.lookup_table.patch_view` of the plan's LUT;
+    ``launches`` the priced launch per device spec.
+    """
+
+    values: np.ndarray
+    row_map: np.ndarray
+    patches: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]
+    fragment_ops: int
+    launches: Tuple[Tuple[GPUSpec, LaunchResult], ...] = ()
 
 
-def mma_step(context: SweepContext, b_operand: np.ndarray) -> LaunchResult:
-    """Stage 2: run the fragment MMA on the simulated device."""
+_SPARSE_MEMO_ATTR = "_sparse_sweep_memo"
+_SPARSE_MEMO_LOCK = threading.Lock()
+
+
+def _build_sparse_memo(plan: KernelPlan) -> _SparseSweepMemo:
+    lut = plan.lut
+    k_prime = lut.k_prime
+    # compressed exactly as sparse_mma compresses the operand it is handed
+    compressed = compress_24(np.asarray(plan.a_operand,
+                                        dtype=plan.dtype.numpy_dtype))
+    scatter = plan.conversion.scatter_rows
+    require(scatter.shape == (k_prime,)
+            and int(scatter.max(initial=-1)) < compressed.k,
+            f"A'' of {plan.pattern.name} does not line up with its "
+            f"{k_prime}-row B'")
+    # padded K column -> B' row; unmapped columns read the zero row k'
+    row_of_column = np.full(compressed.k, k_prime, dtype=np.intp)
+    row_of_column[scatter] = np.arange(k_prime)
+    return _SparseSweepMemo(
+        values=np.asarray(compressed.values, dtype=plan.dtype.numpy_dtype)
+        .astype(np.float32),
+        row_map=compressed_rows(compressed, row_of_column),
+        patches=patch_view(lut, plan.config.patch_shape(plan.pattern.diameter),
+                           plan.config.r),
+        fragment_ops=sparse_fragment_ops(compressed.m, compressed.k,
+                                         lut.n_prime, plan.fragment),
+    )
+
+
+def _sparse_memo(plan: KernelPlan) -> _SparseSweepMemo:
+    """The plan's sweep memo, built and published once across threads."""
+    memo = getattr(plan, _SPARSE_MEMO_ATTR, None)
+    if memo is None:
+        with _SPARSE_MEMO_LOCK:
+            memo = getattr(plan, _SPARSE_MEMO_ATTR, None)
+            if memo is None:
+                memo = _build_sparse_memo(plan)
+                # frozen dataclass: attach the memo without touching fields
+                object.__setattr__(plan, _SPARSE_MEMO_ATTR, memo)
+    return memo
+
+
+def _launch(context: SweepContext, b: np.ndarray) -> KernelLaunch:
     plan = context.plan
-    launch = KernelLaunch(
+    return KernelLaunch(
         name=context.launch_name,
         engine=plan.engine,
         a=plan.a_operand,
-        b=b_operand,
+        b=b,
         fragment=plan.fragment,
         dtype=plan.dtype,
         traffic=plan.estimate.traffic,
@@ -142,7 +216,87 @@ def mma_step(context: SweepContext, b_operand: np.ndarray) -> LaunchResult:
         blocks=plan.blocks,
         registers_per_thread=plan.registers_per_thread,
     )
-    return execute_launch(launch, context.spec)
+
+
+def _priced_launch(context: SweepContext,
+                   memo: _SparseSweepMemo) -> LaunchResult:
+    """The sweep's modelled launch on ``context.spec``, priced once."""
+    spec = context.spec
+    for known, launch in memo.launches:
+        if known is spec or known == spec:
+            return launch
+    with _SPARSE_MEMO_LOCK:
+        for known, launch in memo.launches:
+            if known == spec:
+                return launch
+        plan = context.plan
+        # pricing reads no operand: B'' stands in by its shape alone
+        b_shape = np.broadcast_to(np.float32(0.0),
+                                  (plan.k_operand, plan.n_prime))
+        launch = price_launch(_launch(context, b_shape), memo.fragment_ops,
+                              spec)
+        memo.launches = memo.launches + ((spec, launch),)
+        return launch
+
+
+def gather_step(context: SweepContext, current: np.ndarray) -> np.ndarray:
+    """Stage 1: build the MMA's ``B`` operand from the grid.
+
+    Sparse plans: round the grid once to device precision (``f32(dtype(x))``,
+    exactly what the MMA reads) into the LUT-padded buffer, build ``B'``
+    from it through the LUT's strided view plus one zero row, and gather
+    the ``(m, k/2, n)`` float32 rows each compressed ``A''`` value
+    multiplies through the plan's row map.  Dense plans: ``B'`` through the
+    lookup tables, in float64.
+    """
+    plan = context.plan
+    if plan.engine != "sparse_mma":
+        return gather_b_matrix(plan.lut, current)
+    memo = _sparse_memo(plan)
+    lut = plan.lut
+    require(tuple(current.shape) == lut.grid_shape,
+            f"grid shape {tuple(current.shape)} does not match the lookup "
+            f"table's {lut.grid_shape}")
+    padded = np.zeros(lut.padded_grid_shape, dtype=np.float32)
+    padded[tuple(slice(0, s) for s in current.shape)] = np.asarray(
+        current, dtype=np.float64).astype(plan.dtype.numpy_dtype)
+    b_prime = np.empty((lut.k_prime + 1, lut.n_prime), dtype=np.float32)
+    if memo.patches is not None:
+        shape, strides = memo.patches
+        np.copyto(b_prime[:-1].reshape(shape),
+                  as_strided(padded, shape,
+                             tuple(s * padded.itemsize for s in strides),
+                             writeable=False))
+    else:
+        b_prime[:-1] = padded.ravel()[lut.patch_offset[:, None].astype(np.int64)
+                                      + lut.column_base[None, :]]
+    b_prime[-1] = 0.0
+    return b_prime[memo.row_map]
+
+
+def mma_step(context: SweepContext, b_operand: np.ndarray) -> LaunchResult:
+    """Stage 2: run the fragment MMA on the simulated device.
+
+    Sparse plans contract ``b_operand`` (from :func:`gather_step`) with the
+    memo's compressed ``A''`` values through
+    :func:`~repro.tcu.sparse_mma.contract_rows` — the standalone sparse
+    MMA's own contraction — and return the plan's pre-priced launch with
+    this sweep's output.  Dense plans run a full
+    :class:`~repro.tcu.executor.KernelLaunch`.
+    """
+    plan = context.plan
+    if plan.engine != "sparse_mma":
+        return execute_launch(_launch(context, b_operand), context.spec)
+    memo = _sparse_memo(plan)
+    require(b_operand.shape == memo.row_map.shape + (plan.n_prime,)
+            and b_operand.dtype == np.float32,
+            f"sparse mma_step expects the float32 "
+            f"{memo.row_map.shape + (plan.n_prime,)} operand gather_step "
+            f"builds, got {b_operand.dtype} {b_operand.shape}")
+    d = contract_rows(memo.values,
+                      lambda start, stop: b_operand[start:stop],
+                      plan.n_prime)
+    return replace(_priced_launch(context, memo), output=d.astype(np.float64))
 
 
 def assemble_step(context: SweepContext, result: LaunchResult,

@@ -26,7 +26,7 @@ from repro.tcu.spec import A100_SPEC, DataType, FragmentShape, GPUSpec
 from repro.tcu.timing import compute_time, ffma_time, mma_count
 from repro.util.validation import require, require_in
 
-__all__ = ["KernelLaunch", "LaunchResult", "execute_launch"]
+__all__ = ["KernelLaunch", "LaunchResult", "execute_launch", "price_launch"]
 
 
 @dataclass
@@ -116,7 +116,19 @@ def execute_launch(launch: KernelLaunch, spec: GPUSpec = A100_SPEC) -> LaunchRes
     paper times ``T`` iterations of the same kernel.
     """
     output, fragment_ops = _run_engine(launch)
+    return price_launch(launch, fragment_ops, spec, output=output)
 
+
+def price_launch(launch: KernelLaunch, fragment_ops: int,
+                 spec: GPUSpec = A100_SPEC, *,
+                 output: Optional[np.ndarray] = None) -> LaunchResult:
+    """The modelled timing and utilisation of ``launch`` issuing
+    ``fragment_ops`` fragment operations per iteration.
+
+    Reads no operand, so a caller that computes the functional result
+    itself (the tcu-sim sweep, whose every sweep of a plan bills the same
+    numbers) can price a launch once and reuse it.
+    """
     if launch.engine == "ffma":
         per_iter_compute = ffma_time(launch.flops, spec, dtype=launch.dtype)
     else:

@@ -14,16 +14,25 @@ path and the sharded executor.
 from __future__ import annotations
 
 import dataclasses
+import pickle
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+import repro.engine.base as engine_base
 from repro import get_benchmark, make_grid, table2_benchmarks
+from repro.core.conversion import convert_to_24
 from repro.core.fusion import fused_iterations
-from repro.core.lookup_table import gather_b_matrix
-from repro.core.morphing import assemble_output
+from repro.core.lookup_table import gather_b_matrix, patch_view
+from repro.core.morphing import MorphConfig, assemble_output, \
+    morph_kernel_matrix
 from repro.core.pipeline import compile_stencil
+from repro.core.staircase import block_structure_from_morph
 from repro.engine import (
     ShardedExecutor,
     SingleDeviceExecutor,
@@ -31,9 +40,11 @@ from repro.engine import (
     prepare_sweep,
     run_sweep,
 )
+from repro.service import CompileCache
 from repro.stencils.boundary import apply_boundary
+from repro.stencils.catalog import full_catalog
 from repro.tcu.executor import KernelLaunch, LaunchResult, execute_launch
-from repro.tcu.sparsity24 import compress_24
+from repro.tcu.sparsity24 import Compressed24, compress_24
 from repro.tcu.spec import DataType
 from repro.util.arrays import pad_to_multiple
 
@@ -203,3 +214,141 @@ def test_sharded_executor(name, boundary, shards):
     sharded = ShardedExecutor(shards).execute(compiled, grid, 3)
     output, _ = oracle_run(compiled, grid, 3)
     assert np.array_equal(sharded.output, output)
+
+
+# ---------------------------------------------------------------------- #
+# the per-plan memo
+# ---------------------------------------------------------------------- #
+def fresh_plan(name: str = "Box-2D9P", shape=(48, 40)):
+    """A newly compiled plan object, so its sweep memo is not built yet."""
+    compiled = compile_stencil(get_benchmark(name).pattern, shape,
+                               backend="tcu-sim")
+    assert not hasattr(compiled.plan, "_sparse_sweep_memo")
+    return compiled
+
+
+def swept(compiled, grid, sweeps: int = 2) -> np.ndarray:
+    context = prepare_sweep(compiled)
+    current = grid.data.copy()
+    for _ in range(sweeps):
+        run_sweep(context, current)
+    return current
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_table2_luts_take_the_strided_view(name):
+    plan = table2_plan(name, DataType.FP16).plan
+    view = patch_view(plan.lut, plan.config.patch_shape(plan.pattern.diameter),
+                      plan.config.r)
+    assert view is not None
+    shape, _ = view
+    assert int(np.prod(shape)) == plan.lut.k_prime * plan.lut.n_prime
+
+
+def test_irregular_lut_gathers_through_the_tables():
+    """A LUT the strided view cannot reproduce is gathered through its
+    tables, so the tables stay load-bearing."""
+    compiled = fresh_plan()
+    lut = compiled.plan.lut
+    shuffled = dataclasses.replace(
+        lut, column_base=np.random.default_rng(3).permutation(lut.column_base))
+    plan = dataclasses.replace(compiled.plan, lut=shuffled)
+    tampered = dataclasses.replace(compiled, plan=plan)
+    assert patch_view(shuffled, plan.config.patch_shape(plan.pattern.diameter),
+                      plan.config.r) is None
+    grid = random_grid(compiled.grid_shape)
+    assert_sweeps_match(tampered, grid)
+    assert not np.array_equal(swept(tampered, grid), swept(compiled, grid))
+
+
+def test_row_map_follows_the_compressed_indices(monkeypatch):
+    """Moving one retained value to another slot of its 4-group in the
+    metadata changes the product: the sweep reads the indices, not A''."""
+    grid = random_grid((48, 40))
+    honest = swept(fresh_plan(), grid)
+
+    def tampered_compress(matrix):
+        compressed = compress_24(matrix)
+        indices = compressed.indices.copy()
+        row, slot = map(int, np.argwhere(compressed.values != 0)[0])
+        group = slot // 2
+        kept = set(indices[row, 2 * group:2 * group + 2].tolist())
+        indices[row, slot] = min({0, 1, 2, 3} - kept)
+        return Compressed24(values=compressed.values, indices=indices,
+                            k=compressed.k)
+
+    monkeypatch.setattr(engine_base, "compress_24", tampered_compress)
+    tampered = swept(fresh_plan(), grid)
+    assert not np.array_equal(honest, tampered)
+
+
+def test_scatter_rows_equals_the_permutation_loop():
+    for pattern in full_catalog():
+        config = MorphConfig.from_r1_r2(pattern.ndim, 4, 2)
+        conversion = convert_to_24(
+            morph_kernel_matrix(pattern, config),
+            structure=block_structure_from_morph(pattern, config))
+        expected = np.empty(conversion.n_original, dtype=np.int64)
+        for slot, source in enumerate(conversion.permutation):
+            if source < conversion.n_original:
+                expected[source] = slot
+        assert np.array_equal(conversion.scatter_rows, expected), pattern.name
+        assert conversion.scatter_rows is conversion.scatter_rows
+        assert not conversion.scatter_rows.flags.writeable
+
+
+def test_concurrent_first_sweeps_build_the_memo_once(monkeypatch):
+    compiled = fresh_plan()
+    grid = random_grid(compiled.grid_shape)
+    builds = []
+    build = engine_base._build_sparse_memo
+
+    def slow_build(plan):
+        builds.append(plan)
+        time.sleep(0.05)  # hold the build open while the others arrive
+        return build(plan)
+
+    monkeypatch.setattr(engine_base, "_build_sparse_memo", slow_build)
+    workers = 6  # more threads than cores
+    barrier = threading.Barrier(workers)
+
+    def first_sweep(_):
+        context = prepare_sweep(compiled)
+        current = grid.data.copy()
+        barrier.wait(timeout=60)
+        launch = run_sweep(context, current)
+        return current, launch
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(first_sweep, i) for i in range(workers)]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(builds) == 1
+    expected = grid.data.copy()
+    want = oracle_sweep(prepare_sweep(compiled), expected)
+    for current, launch in results:
+        assert np.array_equal(current, expected)
+        assert_same_launch(launch, want)
+
+
+def test_persisted_plan_sweeps_identically(tmp_path):
+    pattern = get_benchmark("Star-2D13P").pattern
+    first = CompileCache(persist_dir=tmp_path)
+    compiled = first.compile(pattern, (40, 44), backend="tcu-sim")
+    grid = random_grid((40, 44))
+    payload = len(pickle.dumps(compiled))
+    output = swept(compiled, grid)
+    assert hasattr(compiled.plan, "_sparse_sweep_memo")
+    assert len(pickle.dumps(compiled)) == payload
+
+    second = CompileCache(persist_dir=tmp_path)
+    reloaded = second.compile(pattern, (40, 44), backend="tcu-sim")
+    assert second.stats.disk_hits == 1
+    assert not hasattr(reloaded.plan, "_sparse_sweep_memo")
+    reloaded_payload = len(pickle.dumps(reloaded))
+    assert np.array_equal(swept(reloaded, grid), output)
+    assert len(pickle.dumps(reloaded)) == reloaded_payload
