@@ -16,14 +16,14 @@ they are functionally load-bearing, not just cost-model props: dense plans
 build ``B'`` per sweep with the fancy-index gather of
 :func:`gather_b_matrix`, and the sparse tcu-sim sweep builds it through
 :func:`patch_view` — the strided view of the padded grid that reproduces
-both tables, checked against them once per plan — falling back to a gather
-through the tables whenever they do not have that layout.
+both tables, checked against them once per plan; a table without that
+layout is rejected rather than gathered some other way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -140,15 +140,15 @@ def gather_b_matrix(lut: LookupTable, data: np.ndarray) -> np.ndarray:
 
 def patch_view(lut: LookupTable, patch_shape: Tuple[int, ...],
                tile_extents: Tuple[int, ...]
-               ) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+               ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """``(shape, element strides)`` of the view of the padded grid that is ``B'``.
 
-    When ``patch_offset`` enumerates a ``patch_shape`` patch row-major and
+    ``patch_offset`` must enumerate a ``patch_shape`` patch row-major and
     ``column_base`` the tile corners (``tile_extents`` apart) row-major — the
-    layout :func:`build_lookup_table` writes — ``B'`` is the padded grid
+    layout :func:`build_lookup_table` writes.  ``B'`` is then the padded grid
     viewed with shape ``patch_shape + tile_grid``, reshaped to ``(k', n')``.
-    Returns ``None`` unless that view reproduces both tables exactly and
-    stays inside the padded grid; callers then gather through the tables.
+    Raises unless that view reproduces both tables exactly and stays inside
+    the padded grid (a strided view, unlike a gather, checks no bounds).
     """
     ndim = len(lut.padded_grid_shape)
     strides = np.array([int(np.prod(lut.padded_grid_shape[axis + 1:]))
@@ -156,10 +156,11 @@ def patch_view(lut: LookupTable, patch_shape: Tuple[int, ...],
     tile_strides = strides * np.asarray(tile_extents, dtype=np.int64)
     patch = np.indices(patch_shape).reshape(ndim, -1).T @ strides
     tiles = np.indices(lut.tile_grid).reshape(ndim, -1).T @ tile_strides
-    if not (np.array_equal(patch, lut.patch_offset)
-            and np.array_equal(tiles, lut.column_base)):
-        return None
-    if patch.max() + tiles.max() >= int(np.prod(lut.padded_grid_shape)):
-        return None
+    require(np.array_equal(patch, lut.patch_offset)
+            and np.array_equal(tiles, lut.column_base)
+            and patch.max() + tiles.max() < int(np.prod(lut.padded_grid_shape)),
+            f"lookup table does not enumerate {tuple(patch_shape)} patches "
+            f"of {tuple(tile_extents)} tiles row-major inside its "
+            f"{lut.padded_grid_shape} padded grid")
     return (tuple(int(s) for s in patch_shape) + tuple(lut.tile_grid),
             tuple(int(s) for s in strides) + tuple(int(s) for s in tile_strides))

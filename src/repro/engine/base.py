@@ -7,18 +7,18 @@ generated kernel's stages:
 
 1. :func:`gather_step` — build the MMA's ``B`` operand from the current
    grid.  For a sparse plan: round the grid once to device precision into
-   the LUT-padded buffer, build ``B'`` from it through the lookup tables
-   (one strided view), and gather the ``(m, k/2, n)`` float32 rows that
-   the compressed ``A''`` values multiply through the plan's row map — the
-   LUT gather, PIT permutation, 4-padding and 2:4 index gather composed
-   into one ``(m, k/2)`` integer map.  For a dense plan: ``B'`` through the
-   tables, in float64;
+   the LUT-padded buffer and build the float32 ``B'`` from it through the
+   lookup tables (one strided view), plus one zero row.  For a dense plan:
+   ``B'`` through the tables, in float64;
 2. :func:`mma_step` — the (sparse or dense) MMA on the simulated Tensor
-   Cores.  A sparse plan contracts the gathered rows with the compressed
-   values in float32 through the standalone sparse MMA's own contraction
-   (:func:`~repro.tcu.sparse_mma.contract_rows`) and bills the launch
-   priced once per (plan, spec); a dense plan runs a full
-   :class:`~repro.tcu.executor.KernelLaunch`;
+   Cores.  A sparse plan gathers, chunk by chunk of output rows, the ``B'``
+   rows the compressed ``A''`` values multiply through the plan's row map —
+   the PIT permutation, 4-padding and 2:4 index gather composed into one
+   ``(m, k/2)`` integer map — and contracts them in float32 through the
+   standalone sparse MMA's own contraction
+   (:func:`~repro.tcu.sparse_mma.contract_rows`); a dense plan runs a full
+   :class:`~repro.tcu.executor.KernelLaunch`.  Both price the launch with
+   :func:`~repro.tcu.executor.price_launch`;
 3. :func:`assemble_step` — reassemble ``D`` into the grid interior (the
    halo ring is the *executor's* responsibility, per the plan's boundary
    condition).
@@ -27,9 +27,9 @@ The sparse path is bit-identical to the plain chain
 ``gather_b_matrix`` -> ``apply_to_b`` -> ``sparse_mma`` -> ``assemble_output``
 (every element is still ``f32(dtype(x))`` and the contraction sees the same
 float32 array); ``tests/test_tcu_sweep.py`` pins that.  Its per-plan memo —
-compressed values, row map, strided LUT view, priced launches — is built
-on first use, published once under a lock (shard sweeps share plans on a
-thread pool) and never pickled with the plan.
+compressed values, row map, strided LUT view — is built on first use,
+published once under a lock (shard sweeps share plans on a thread pool) and
+never pickled with the plan.
 
 :func:`prepare_sweep` precomputes everything the steps share for one run;
 executors (:class:`SweepExecutor` implementations) own the loop around the
@@ -39,7 +39,7 @@ steps — how many sweeps, on how many devices, with what halo movement.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
@@ -142,22 +142,20 @@ def prepare_sweep(compiled: CompiledStencil,
     return context
 
 
-@dataclass
+@dataclass(frozen=True)
 class _SparseSweepMemo:
     """Per-plan state of the sparse tcu-sim sweep, built once on first use.
 
     ``values`` is the compressed ``A''`` in float32; ``row_map[r, s]`` the
     ``B'`` row slot ``(r, s)`` reads, where row ``k'`` is the zero row the
     sweep appends (padding and inserted zero columns).  ``patches`` is
-    :func:`~repro.core.lookup_table.patch_view` of the plan's LUT;
-    ``launches`` the priced launch per device spec.
+    :func:`~repro.core.lookup_table.patch_view` of the plan's LUT.
     """
 
     values: np.ndarray
     row_map: np.ndarray
-    patches: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]
+    patches: Tuple[Tuple[int, ...], Tuple[int, ...]]
     fragment_ops: int
-    launches: Tuple[Tuple[GPUSpec, LaunchResult], ...] = ()
 
 
 _SPARSE_MEMO_ATTR = "_sparse_sweep_memo"
@@ -218,36 +216,14 @@ def _launch(context: SweepContext, b: np.ndarray) -> KernelLaunch:
     )
 
 
-def _priced_launch(context: SweepContext,
-                   memo: _SparseSweepMemo) -> LaunchResult:
-    """The sweep's modelled launch on ``context.spec``, priced once."""
-    spec = context.spec
-    for known, launch in memo.launches:
-        if known is spec or known == spec:
-            return launch
-    with _SPARSE_MEMO_LOCK:
-        for known, launch in memo.launches:
-            if known == spec:
-                return launch
-        plan = context.plan
-        # pricing reads no operand: B'' stands in by its shape alone
-        b_shape = np.broadcast_to(np.float32(0.0),
-                                  (plan.k_operand, plan.n_prime))
-        launch = price_launch(_launch(context, b_shape), memo.fragment_ops,
-                              spec)
-        memo.launches = memo.launches + ((spec, launch),)
-        return launch
-
-
 def gather_step(context: SweepContext, current: np.ndarray) -> np.ndarray:
     """Stage 1: build the MMA's ``B`` operand from the grid.
 
     Sparse plans: round the grid once to device precision (``f32(dtype(x))``,
-    exactly what the MMA reads) into the LUT-padded buffer, build ``B'``
-    from it through the LUT's strided view plus one zero row, and gather
-    the ``(m, k/2, n)`` float32 rows each compressed ``A''`` value
-    multiplies through the plan's row map.  Dense plans: ``B'`` through the
-    lookup tables, in float64.
+    exactly what the MMA reads) into the LUT-padded buffer and build the
+    float32 ``(k' + 1, n')`` ``B'`` from it through the LUT's strided view,
+    its last row zero.  Dense plans: ``B'`` through the lookup tables, in
+    float64.
     """
     plan = context.plan
     if plan.engine != "sparse_mma":
@@ -261,42 +237,39 @@ def gather_step(context: SweepContext, current: np.ndarray) -> np.ndarray:
     padded[tuple(slice(0, s) for s in current.shape)] = np.asarray(
         current, dtype=np.float64).astype(plan.dtype.numpy_dtype)
     b_prime = np.empty((lut.k_prime + 1, lut.n_prime), dtype=np.float32)
-    if memo.patches is not None:
-        shape, strides = memo.patches
-        np.copyto(b_prime[:-1].reshape(shape),
-                  as_strided(padded, shape,
-                             tuple(s * padded.itemsize for s in strides),
-                             writeable=False))
-    else:
-        b_prime[:-1] = padded.ravel()[lut.patch_offset[:, None].astype(np.int64)
-                                      + lut.column_base[None, :]]
+    shape, strides = memo.patches
+    np.copyto(b_prime[:-1].reshape(shape),
+              as_strided(padded, shape,
+                         tuple(s * padded.itemsize for s in strides),
+                         writeable=False))
     b_prime[-1] = 0.0
-    return b_prime[memo.row_map]
+    return b_prime
 
 
 def mma_step(context: SweepContext, b_operand: np.ndarray) -> LaunchResult:
     """Stage 2: run the fragment MMA on the simulated device.
 
-    Sparse plans contract ``b_operand`` (from :func:`gather_step`) with the
-    memo's compressed ``A''`` values through
-    :func:`~repro.tcu.sparse_mma.contract_rows` — the standalone sparse
-    MMA's own contraction — and return the plan's pre-priced launch with
-    this sweep's output.  Dense plans run a full
+    Sparse plans gather, per chunk of output rows, the ``b_operand`` rows
+    (from :func:`gather_step`) each compressed ``A''`` value multiplies
+    through the plan's row map and contract them with the memo's values
+    through :func:`~repro.tcu.sparse_mma.contract_rows` — the standalone
+    sparse MMA's own contraction.  Dense plans run a full
     :class:`~repro.tcu.executor.KernelLaunch`.
     """
     plan = context.plan
+    launch = _launch(context, b_operand)
     if plan.engine != "sparse_mma":
-        return execute_launch(_launch(context, b_operand), context.spec)
+        return execute_launch(launch, context.spec)
     memo = _sparse_memo(plan)
-    require(b_operand.shape == memo.row_map.shape + (plan.n_prime,)
-            and b_operand.dtype == np.float32,
-            f"sparse mma_step expects the float32 "
-            f"{memo.row_map.shape + (plan.n_prime,)} operand gather_step "
-            f"builds, got {b_operand.dtype} {b_operand.shape}")
+    expected = (plan.lut.k_prime + 1, plan.n_prime)
+    require(b_operand.shape == expected and b_operand.dtype == np.float32,
+            f"sparse mma_step expects the float32 {expected} operand "
+            f"gather_step builds, got {b_operand.dtype} {b_operand.shape}")
     d = contract_rows(memo.values,
-                      lambda start, stop: b_operand[start:stop],
+                      lambda start, stop: b_operand[memo.row_map[start:stop]],
                       plan.n_prime)
-    return replace(_priced_launch(context, memo), output=d.astype(np.float64))
+    return price_launch(launch, memo.fragment_ops, context.spec,
+                        output=d.astype(np.float64))
 
 
 def assemble_step(context: SweepContext, result: LaunchResult,

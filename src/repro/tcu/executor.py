@@ -126,8 +126,7 @@ def price_launch(launch: KernelLaunch, fragment_ops: int,
     ``fragment_ops`` fragment operations per iteration.
 
     Reads no operand, so a caller that computes the functional result
-    itself (the tcu-sim sweep, whose every sweep of a plan bills the same
-    numbers) can price a launch once and reuse it.
+    itself (the tcu-sim sweep) prices its launch through the same model.
     """
     if launch.engine == "ffma":
         per_iter_compute = ffma_time(launch.flops, spec, dtype=launch.dtype)

@@ -36,7 +36,9 @@ from repro.core.staircase import block_structure_from_morph
 from repro.engine import (
     ShardedExecutor,
     SingleDeviceExecutor,
+    gather_step,
     leftover_plan,
+    mma_step,
     prepare_sweep,
     run_sweep,
 )
@@ -47,6 +49,7 @@ from repro.tcu.executor import KernelLaunch, LaunchResult, execute_launch
 from repro.tcu.sparsity24 import Compressed24, compress_24
 from repro.tcu.spec import DataType
 from repro.util.arrays import pad_to_multiple
+from repro.util.validation import ValidationError
 
 KERNELS = [config.name for config in table2_benchmarks()]
 SPARSE_DTYPES = [DataType.FP16, DataType.BF16, DataType.TF32]
@@ -238,27 +241,55 @@ def swept(compiled, grid, sweeps: int = 2) -> np.ndarray:
 @pytest.mark.parametrize("name", KERNELS)
 def test_table2_luts_take_the_strided_view(name):
     plan = table2_plan(name, DataType.FP16).plan
-    view = patch_view(plan.lut, plan.config.patch_shape(plan.pattern.diameter),
-                      plan.config.r)
-    assert view is not None
-    shape, _ = view
+    shape, _ = patch_view(plan.lut,
+                          plan.config.patch_shape(plan.pattern.diameter),
+                          plan.config.r)
     assert int(np.prod(shape)) == plan.lut.k_prime * plan.lut.n_prime
 
 
-def test_irregular_lut_gathers_through_the_tables():
-    """A LUT the strided view cannot reproduce is gathered through its
-    tables, so the tables stay load-bearing."""
+def test_gather_step_builds_b_prime_not_the_row_gather():
+    """The ``(m, k/2, n)`` row gather happens per row chunk inside the
+    contraction; the operand handed between the steps is ``B'`` plus its
+    zero row, so a sweep's memory stays bounded."""
+    compiled = fresh_plan()
+    plan = compiled.plan
+    context = prepare_sweep(compiled)
+    current = random_grid(compiled.grid_shape).data.copy()
+    b_operand = gather_step(context, current)
+    assert b_operand.shape == (plan.lut.k_prime + 1, plan.n_prime)
+    assert b_operand.dtype == np.float32
+    assert not b_operand[-1].any()
+    with pytest.raises(ValidationError):
+        mma_step(context, b_operand[:-1])
+
+
+def tampered_plan(compiled, **lut_changes):
+    plan = compiled.plan
+    lut = dataclasses.replace(plan.lut, **lut_changes)
+    return dataclasses.replace(compiled,
+                               plan=dataclasses.replace(plan, lut=lut))
+
+
+def test_irregular_lut_is_rejected():
+    """A LUT the strided view cannot reproduce is refused when the memo is
+    built, so the tables stay checked against the view."""
+    compiled = fresh_plan()
+    shuffled = tampered_plan(compiled, column_base=np.random.default_rng(3)
+                             .permutation(compiled.plan.lut.column_base))
+    grid = random_grid(compiled.grid_shape)
+    with pytest.raises(ValidationError, match="row-major"):
+        swept(shuffled, grid)
+
+
+def test_lut_whose_view_leaves_the_padded_grid_is_rejected():
+    """Tables that match the view but index past a shrunk padded grid are
+    refused: the strided view checks no bounds itself."""
     compiled = fresh_plan()
     lut = compiled.plan.lut
-    shuffled = dataclasses.replace(
-        lut, column_base=np.random.default_rng(3).permutation(lut.column_base))
-    plan = dataclasses.replace(compiled.plan, lut=shuffled)
-    tampered = dataclasses.replace(compiled, plan=plan)
-    assert patch_view(shuffled, plan.config.patch_shape(plan.pattern.diameter),
-                      plan.config.r) is None
-    grid = random_grid(compiled.grid_shape)
-    assert_sweeps_match(tampered, grid)
-    assert not np.array_equal(swept(tampered, grid), swept(compiled, grid))
+    shrunk = tampered_plan(compiled, padded_grid_shape=(
+        lut.padded_grid_shape[0] - 1,) + lut.padded_grid_shape[1:])
+    with pytest.raises(ValidationError, match="padded grid"):
+        swept(shrunk, random_grid(compiled.grid_shape))
 
 
 def test_row_map_follows_the_compressed_indices(monkeypatch):
